@@ -252,8 +252,6 @@ def _add_matrix_source(p: argparse.ArgumentParser) -> None:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--format", choices=["json", "csv", "pretty"], default="json")
     p.add_argument("--out", default=None)
 
 
@@ -280,6 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--k", type=int, required=True, help="energy cutoff K")
     p.add_argument("--ell", type=int, required=True, help="distance cutoff")
+    p.add_argument("--tol", type=float, default=1e-8,
+                   help="eigenvalue cluster tolerance")
+    p.add_argument("--format", choices=["json", "csv", "pretty"], default="json")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("entropy", help="entropy sweep table (CSV)")

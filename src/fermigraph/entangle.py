@@ -38,7 +38,7 @@ from .eig import (DEFAULT_CLUSTER_TOL, DEFAULT_EIG_TOL, InvalidSpectrumError,
                   Spectrum, cluster_spectrum, symmetric_eig)
 from .exactmat import ExactMatrix, commutator
 from .qroot import QRootN
-from .scheme import SchemeTables
+from .scheme import SchemeTables, hadamard_pq_matrix
 from .terwilliger import TerwilligerBasis
 
 ENTROPY_CONSTANT = 2.0 * math.log(2.0) - 0.75 * math.log(3.0)
@@ -74,9 +74,7 @@ def projector_pair(tables: SchemeTables, basis: TerwilligerBasis,
     pi1 = ExactMatrix.zeros(tables.vertex_count, n)
     for s in range(ell + 1):
         pi1 = pi1 + basis.dual_idempotents[s]
-    pi2 = ExactMatrix.zeros(tables.vertex_count, n)
-    for k in range(K + 1):
-        pi2 = pi2 + tables.idempotents[k]
+    pi2 = ground_state_correlation(tables, K)
     support = np.array([bool(pi1.ra[i, i]) for i in range(pi1.dim)])
     return ProjectorPair(neighbourhood_cut=ell, energy_cut=K,
                          pi1=pi1, pi2=pi2, support=support)
@@ -398,52 +396,29 @@ def correlation_report(tables: SchemeTables, basis: TerwilligerBasis,
 
 # -- float pipeline for large orders ---------------------------------------------
 
-def float_energy_projectors(adjacency: np.ndarray,
-                            thetas: list[float]) -> list[np.ndarray]:
-    """Cumulative projectors pi2(0..d) of a float adjacency matrix via the
-    Lagrange form, sharing the matrix powers across eigenspaces."""
-    dim = adjacency.shape[0]
-    d = len(thetas) - 1
-    powers = [np.eye(dim), adjacency.astype(float)]
-    for _ in range(d - 1):
-        powers.append(powers[-1] @ powers[1])
-    cumulative = []
-    acc = np.zeros((dim, dim))
-    for k, tk in enumerate(thetas):
-        coeffs = [1.0]
-        denom = 1.0
-        for j, tj in enumerate(thetas):
-            if j == k:
-                continue
-            denom *= tk - tj
-            nxt = [0.0] * (len(coeffs) + 1)
-            for deg, c in enumerate(coeffs):
-                nxt[deg + 1] += c
-                nxt[deg] -= c * tj
-            coeffs = nxt
-        ek = sum(c * powers[deg] for deg, c in enumerate(coeffs)) / denom
-        acc = acc + ek
-        cumulative.append(acc.copy())
-    return cumulative
-
-
 def hadamard_entropy_numeric(graph, K: int, ell: int,
                              cluster_tol: float = DEFAULT_CLUSTER_TOL,
                              ) -> tuple[float, Spectrum]:
     """Entropy of Pi(K, ell) for a Hadamard graph, float path.
 
-    Suitable for large orders: only the supported principal block is
-    diagonalized; the remaining eigenvalues are exact zeros by support.
+    Suitable for large orders: only the supported principal block of pi2(K)
+    is built, from E_j = (1/N) sum_i Q_ij A_i with the closed-form Q table,
+    and diagonalized; the remaining eigenvalues are exact zeros by support.
     """
-    adj = graph.adjacency.to_float()
-    thetas = [float(t) for t in graph.eigenvalues]
-    pi2 = float_energy_projectors(adj, thetas)[K]
-    dist0 = graph.distance_matrices
+    d = graph.diameter
+    if not 0 <= K <= d or not 0 <= ell <= d:
+        raise ValueError(f"cutoffs must lie in [0, {d}]")
+    dist = graph.distance_matrices
     support = np.zeros(graph.vertex_count, dtype=bool)
     for s in range(ell + 1):
-        support |= dist0[s].ra[0].astype(bool)
-    block = pi2[np.ix_(support, support)]
-    values, _ = symmetric_eig(block)
+        support |= dist[s].ra[0].astype(bool)
+    q = hadamard_pq_matrix(graph.order)
+    sub = np.ix_(support, support)
+    block = np.zeros((int(support.sum()),) * 2)
+    for i, a in enumerate(dist):
+        weight = float(sum(q[i][: K + 1], QRootN(0, 0, graph.order)))
+        block += weight * a.ra[sub].astype(float)
+    values, _ = symmetric_eig(block / graph.vertex_count)
     padded = np.concatenate([np.zeros(graph.vertex_count - block.shape[0]),
                              values])
     padded.sort()

@@ -317,23 +317,11 @@ class ExactMatrix:
 
     # -- support masking -------------------------------------------------------
 
-    def masked_principal(self, m: int) -> "ExactMatrix":
-        """Zero every entry outside the leading m x m principal block."""
-        keep = np.zeros((self.dim, self.dim), dtype=object)
-        keep[:m, :m] = 1
-        return ExactMatrix(self.dim, self.radicand, self.ra * keep,
-                           None if self.rb is None else self.rb * keep, self.den)
-
     def masked_support(self, support: np.ndarray) -> "ExactMatrix":
         """Zero rows and columns outside a boolean support vector."""
         keep = np.outer(support, support).astype(int).astype(object)
         return ExactMatrix(self.dim, self.radicand, self.ra * keep,
                            None if self.rb is None else self.rb * keep, self.den)
-
-    def principal_block(self, m: int) -> "ExactMatrix":
-        return ExactMatrix(m, self.radicand, self.ra[:m, :m].copy(),
-                           None if self.rb is None else self.rb[:m, :m].copy(),
-                           self.den)
 
     # -- conversions -----------------------------------------------------------
 
@@ -342,11 +330,6 @@ class ExactMatrix:
         if self.rb is not None:
             out = out + self.rb.astype(float) * math.sqrt(self.radicand)
         return out / float(self.den)
-
-    def max_abs(self) -> float:
-        if self.is_zero():
-            return 0.0
-        return float(np.max(np.abs(self.to_float())))
 
     def __repr__(self) -> str:
         kind = "rational" if self.rb is None else f"sqrt({self.radicand})"

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .exactmat import ExactMatrix
 from .qroot import QRootN
-from .scheme import SchemeTables
+from .scheme import SchemeError, SchemeTables
 
 
 @dataclass(frozen=True)
@@ -66,15 +66,15 @@ def terwilliger_basis(tables: SchemeTables, base_vertex: int = 0) -> Terwilliger
     for estar in estars:
         total = total + estar
     if total != ident:
-        raise ValueError("dual idempotents do not resolve the identity")
+        raise SchemeError("dual idempotents do not resolve the identity")
     if astars[0] != ident:
-        raise ValueError("A*_0 != I")
+        raise SchemeError("A*_0 != I")
     # A* must expand as sum_i Q_i1 E*_i
     recon = ExactMatrix.zeros(tables.vertex_count, n)
     for i, estar in enumerate(estars):
         recon = recon + estar.scale(tables.eigenmatrix_q[i][1])
     if recon != astars[1]:
-        raise ValueError("A* != sum_i Q_i1 E*_i")
+        raise SchemeError("A* != sum_i Q_i1 E*_i")
     return TerwilligerBasis(
         tables=tables,
         base_vertex=base_vertex,
@@ -96,7 +96,7 @@ def verify_dual_products(basis: TerwilligerBasis) -> None:
                 if q:
                     recon = recon + basis.dual_distance[k].scale(q)
             if recon != prod:
-                raise ValueError(f"A*_{i} A*_{j} != sum_k q A*_k")
+                raise SchemeError(f"A*_{i} A*_{j} != sum_k q A*_k")
 
 
 @dataclass(frozen=True)
@@ -147,7 +147,7 @@ def block_tridiagonal_decompose(m: ExactMatrix,
     for p in projectors:
         total = total + p
     if total != ExactMatrix.identity(m.dim, m.radicand):
-        raise ValueError("projector family does not resolve the identity")
+        raise SchemeError("projector family does not resolve the identity")
     blocks: dict[tuple[int, int], ExactMatrix] = {}
     recon = ExactMatrix.zeros(m.dim, m.radicand)
     for i, pi in enumerate(projectors):
@@ -157,7 +157,7 @@ def block_tridiagonal_decompose(m: ExactMatrix,
             blocks[(i, j)] = b
             recon = recon + b
     if recon != m:
-        raise ValueError("block decomposition does not reconstruct the input")
+        raise SchemeError("block decomposition does not reconstruct the input")
     return blocks
 
 

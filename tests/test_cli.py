@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from fermigraph.cli import main
 from fermigraph.hadamard import HadamardMatrix, sylvester, verify
 
@@ -135,6 +137,21 @@ def test_entropy_sweep_csv(capsys):
 def test_entropy_rejects_bad_order(capsys):
     code, _, _ = run(["entropy", "--orders", "6"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("pairs", ["7,7", "5,1", "-1,2", "2,-1"])
+def test_entropy_rejects_out_of_range_cutoffs(pairs, capsys):
+    code, out, err = run(["entropy", "--orders", "4", f"--pairs={pairs}"],
+                         capsys)
+    assert code == 2
+    assert err.startswith("error:")
+    assert out == ""
+
+
+def test_entropy_has_no_tol_option():
+    with pytest.raises(SystemExit) as exc:
+        main(["entropy", "--orders", "4", "--tol", "1"])
+    assert exc.value.code == 2
 
 
 def test_heun_blocks(capsys):

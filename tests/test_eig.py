@@ -108,3 +108,20 @@ def test_eigenvalue_sum_matches_exact_trace(had4):
     from fermigraph.entangle import spectrum_numeric
     spec = spectrum_numeric(tables.adjacency)
     assert spec.trace_check <= 1e-8 * tables.vertex_count
+
+
+def test_degenerate_correlation_block_vectors(had16):
+    """The supported block of Pi(2, 2) at n = 16 has clusters of
+    multiplicity n - 1 and 2n - 2; LAPACK's vectors must stay orthonormal
+    inside them."""
+    _, tables, basis = had16
+    from fermigraph.entangle import projector_pair
+    pair = projector_pair(tables, basis, 2, 2)
+    sup = pair.support
+    block = pair.pi2.to_float()[np.ix_(sup, sup)]
+    values, vectors = symmetric_eig(block)
+    frob = np.linalg.norm(block, "fro")
+    resid = np.linalg.norm(block @ vectors - vectors * values, axis=0)
+    assert resid.max() <= 1e-10 * frob
+    assert np.abs(vectors.T @ vectors - np.eye(len(values))).max() <= 1e-10
+    assert cluster_spectrum(values).multiplicities == [1, 15, 1, 30]

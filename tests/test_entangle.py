@@ -16,7 +16,7 @@ from fermigraph.eig import InvalidSpectrumError, Spectrum
 from fermigraph.entangle import UncoveredSpectrumError
 from fermigraph.exactmat import commutator
 from fermigraph.qroot import sqrt_of
-from tests.conftest import hadamard_context
+from tests.conftest import hadamard_context, paley_context
 from tests.explicit_forms import explicit_chopped
 
 
@@ -297,8 +297,12 @@ def test_correlation_report_payload(had4):
     assert boundary.commutator_exact_zero is None
 
 
-def test_float_path_matches_exact_path(had4):
-    graph, tables, basis = had4
+@pytest.mark.parametrize("family, size", [("sylvester", 4), ("paley", 11)])
+def test_float_path_matches_exact_path(family, size):
+    """The float path builds pi2(K) from the closed-form Q table; Paley
+    q = 11 (order 12) checks it on an irrational radicand, sqrt(12)."""
+    context = hadamard_context if family == "sylvester" else paley_context
+    graph, tables, basis = context(size)
     for K, ell in [(1, 1), (2, 2), (3, 3), (1, 3)]:
         s_exact = entropy(spectrum_numeric(
             chopped_correlation(tables, basis, K, ell)))

@@ -86,15 +86,10 @@ def test_schur_is_entrywise():
 
 def test_masking():
     m = ExactMatrix.ones(4, 1)
-    top = m.masked_principal(2)
-    assert top.trace() == QRootN(2, 0, 1)
-    assert top.entry(2, 2) == QRootN(0, 0, 1)
     sup = np.array([True, False, True, False])
     masked = m.masked_support(sup)
     assert masked.entry(0, 2) == QRootN(1, 0, 1)
     assert masked.entry(0, 1) == QRootN(0, 0, 1)
-    block = m.principal_block(3)
-    assert block.dim == 3 and block == ExactMatrix.ones(3, 1)
 
 
 def test_mismatches_raise():

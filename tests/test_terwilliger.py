@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from fermigraph import (ExactMatrix, QRootN, chopped_correlation,
                         spectrum_numeric, terwilliger_basis)
 from fermigraph.qroot import sqrt_of
+from fermigraph.scheme import SchemeError
 from fermigraph.terwilliger import (block_tridiagonal_decompose,
                                     cubic_relation_residual,
                                     triple_vanishing_check,
@@ -111,6 +113,16 @@ def test_block_decompose_rejects_non_resolution(had4):
     with pytest.raises(ValueError):
         block_tridiagonal_decompose(tables.adjacency,
                                     list(basis.dual_idempotents[:3]))
+
+
+def test_basis_rejects_wrong_eigenmatrix_as_exact_failure(had4):
+    _, tables, _ = had4
+    q = [list(row) for row in tables.eigenmatrix_q]
+    q[1][1] = q[1][1] + 1
+    bad = dataclasses.replace(tables,
+                              eigenmatrix_q=tuple(tuple(row) for row in q))
+    with pytest.raises(SchemeError):
+        terwilliger_basis(bad)
 
 
 @pytest.mark.parametrize("n", [2, 4, 8, 16])
