@@ -7,7 +7,7 @@ von Neumann entropies.
 """
 
 from .eig import (EigenSolveError, InvalidSpectrumError, NonSymmetricError,
-                  Spectrum, cluster_spectrum, jacobi_eig, symmetric_eig)
+                  Spectrum, cluster_spectrum, symmetric_eig)
 from .entangle import (ClosedFormComparison, CorrelationReport, EntropySweepRow,
                        HeunOperator, ProjectorPair, UncoveredSpectrumError,
                        binary_entropy, chopped_correlation, closed_form_spectrum,

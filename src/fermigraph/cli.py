@@ -8,8 +8,10 @@ Subcommands
     heun      print the commuting operator's blocks and commutation status
 
 The --k flag is the Sylvester exponent for gen/verify and the energy cutoff
-for spectrum/heun (those take the order through --n or --q).  Exit codes:
-0 success, 2 input validation, 3 exact-identity failure, 4 numerical failure.
+for spectrum/heun (those take the order through --n or --q).  verify,
+spectrum and heun work on exact N x N matrices, N = 4n, and refuse graphs
+above EXACT_MAX_VERTICES before building any of them.  Exit codes: 0
+success, 2 input validation, 3 exact-identity failure, 4 numerical failure.
 Output is deterministic: fixed key order, fixed float formatting, no
 timestamps.
 """
@@ -22,11 +24,12 @@ import sys
 from pathlib import Path
 
 from .eig import EigenSolveError, InvalidSpectrumError, NonSymmetricError
-from .entangle import (correlation_report, entropy_sweep, heun_operator,
-                       projector_pair)
+from .entangle import (chopped_correlation, correlation_report, entropy_sweep,
+                       heun_operator, projector_pair)
 from .exactmat import commutator
 from .graphs import build_hadamard_graph
-from .hadamard import HadamardMatrix, NotHadamardError, paley, sylvester, verify
+from .hadamard import (SYLVESTER_MAX_EXPONENT, HadamardMatrix, NotHadamardError,
+                       paley, sylvester, verify)
 from .qroot import RadicandMismatchError
 from .scheme import SchemeError, build_scheme, intersection_array, polynomial_checks
 from .terwilliger import (cubic_relation_residual, terwilliger_basis,
@@ -36,6 +39,13 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_EXACT = 3
 EXIT_NUMERIC = 4
+
+# Size budget of the exact path: the largest vertex count N = 4n for which
+# verify, spectrum and heun build dense N x N matrices over Q(sqrt(n)).
+# verify takes about 35 s and 115 MB at order 128 (N = 512) on two x86-64
+# cores; each doubling of n costs about 8x the time (the products are
+# O(N^3)) and 4x the memory.  The float path of `entropy` has no such limit.
+EXACT_MAX_VERTICES = 512
 
 
 class CliInputError(ValueError):
@@ -57,8 +67,19 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_matrix(args, exponent: int | None) -> HadamardMatrix:
-    """Resolve the matrix source from --construction/--k/--n/--q/--in."""
+def _load_matrix(args, exponent: int | None, exact: bool = True) -> HadamardMatrix:
+    """Resolve the matrix source from --construction/--k/--n/--q/--in.
+
+    With ``exact`` the order is held to the exact-path budget before any
+    matrix is built (for --in, once the file is loaded).
+    """
+    def check(order: int) -> None:
+        if exact and 4 * order > EXACT_MAX_VERTICES:
+            raise CliInputError(
+                f"order {order} gives {4 * order} vertices, above the exact-path "
+                f"budget of {EXACT_MAX_VERTICES} (order {EXACT_MAX_VERTICES // 4}); "
+                f"use 'fermigraph entropy' for larger orders")
+
     construction = args.construction
     if args.infile is not None:
         construction = "file"
@@ -66,13 +87,15 @@ def _load_matrix(args, exponent: int | None) -> HadamardMatrix:
         if not args.infile:
             raise CliInputError("--construction file needs --in PATH")
         try:
-            return HadamardMatrix.load(args.infile)
+            h = HadamardMatrix.load(args.infile)
         except NotHadamardError:
             raise
         except FileNotFoundError as exc:
             raise CliInputError(str(exc)) from exc
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise CliInputError(f"bad matrix file: {exc}") from exc
+        check(h.order)
+        return h
     if construction == "paley" and args.q is None:
         raise CliInputError("paley construction needs --q")
     if args.n is not None:
@@ -81,14 +104,18 @@ def _load_matrix(args, exponent: int | None) -> HadamardMatrix:
         if n <= 0 or 2**k != n:
             raise CliInputError(
                 f"--n {n} is not a power of two; use --q for Paley orders")
+        check(n)
         return sylvester(k)
     if args.q is not None:
+        check(args.q + 1)
         try:
             return paley(args.q)
         except ValueError as exc:
             raise CliInputError(str(exc)) from exc
     if exponent is None:
         raise CliInputError("need --n (order) or --q (Paley prime)")
+    if 0 <= exponent <= SYLVESTER_MAX_EXPONENT:
+        check(2**exponent)
     try:
         return sylvester(exponent)
     except ValueError as exc:
@@ -98,7 +125,7 @@ def _load_matrix(args, exponent: int | None) -> HadamardMatrix:
 def cmd_gen(args) -> int:
     if args.construction == "sylvester" and args.k is None and args.n is None:
         raise CliInputError("sylvester construction needs --k or --n")
-    h = _load_matrix(args, exponent=args.k)
+    h = _load_matrix(args, exponent=args.k, exact=False)
     _emit(h.to_json() + "\n", args.out)
     return EXIT_OK
 
@@ -206,7 +233,7 @@ def cmd_heun(args) -> int:
     basis = terwilliger_basis(tables, base_vertex=0)
     t = heun_operator(tables, basis, args.k, args.ell)
     pair = projector_pair(tables, basis, args.k, args.ell)
-    pi = pair.pi2.masked_support(pair.support)
+    pi = chopped_correlation(tables, basis, args.k, args.ell)
     lines = [
         f"T(K={args.k}, ell={args.ell}) for order {graph.order}",
         f"mu = {t.mu}", f"nu = {t.nu}",

@@ -7,9 +7,14 @@ A matrix is stored as a pair of arbitrary-precision integer arrays ``ra``,
 
 The irrational array is dropped (``rb is None``) whenever it vanishes, which
 it does for every matrix over a perfect-square radicand; products then cost a
-single integer matmul instead of four.  Arrays use dtype=object so entries are
-Python ints and never overflow.  Instances are treated as immutable: all
-operations return fresh matrices.
+single integer matmul instead of four.  Instances are treated as immutable:
+all operations return fresh matrices.
+
+Storage and kernel are split.  ``ra`` and ``rb`` are stored with dtype=object,
+so entries are Python ints and never overflow.  The integer products inside
+a dense matmul run on float64 BLAS whenever ``max|x| * max|y| * N < 2^53``,
+which makes every partial sum an exactly representable integer; larger
+operands fall back to the object product (see ``_int_dot``).
 """
 
 from __future__ import annotations
@@ -28,22 +33,62 @@ class DimensionMismatchError(ValueError):
     """Raised when matrix operands do not conform."""
 
 
-def _gcd_reduce(arrays: Iterable[np.ndarray], start: int) -> int:
-    g = start
-    for arr in arrays:
-        for v in arr.flat:
-            if v:
-                g = math.gcd(g, v if v > 0 else -v)
-                if g == 1:
-                    return 1
-    return g
-
-
 def _as_object(arr) -> np.ndarray:
     out = np.asarray(arr)
     if out.dtype != object:
         out = out.astype(object)
     return out
+
+
+# every integer of magnitude below 2^53 is exact in float64
+_FLOAT64_EXACT_LIMIT = 2**53
+
+
+def _max_abs(a: np.ndarray) -> int:
+    """max |a| as a Python int (so -2^63 in int64 counts as 2^63)."""
+    return max(int(a.max()), -int(a.min())) if a.size else 0
+
+
+def _int_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Exact integer matrix product ``x @ y`` as an object array of Python ints.
+
+    Both operands are converted to int64; if either holds an entry outside
+    int64, the product runs on Python ints (dtype=object).  Otherwise, with
+    ``mx = max|x|`` and ``my = max|y|`` taken as Python ints and inner
+    dimension ``N``, every product ``x[i,k] * y[k,j]`` is an integer of
+    magnitude at most ``mx * my``, and every sum of any subset of the ``N``
+    products that make up one entry has magnitude at most ``mx * my * N``.
+    When that is below 2^53, float64 holds each of these integers exactly,
+    so a classical float64 gemm returns the exact result whatever its
+    summation order, blocking or use of fused multiply-add: every rounding
+    step rounds an exact integer to itself.  Above the bound the product
+    runs on Python ints.
+    """
+    try:
+        xi, yi = x.astype(np.int64), y.astype(np.int64)
+    except OverflowError:
+        return np.dot(_as_object(x), _as_object(y))
+    if _max_abs(xi) * _max_abs(yi) * x.shape[-1] >= _FLOAT64_EXACT_LIMIT:
+        return np.dot(_as_object(x), _as_object(y))
+    out = np.dot(xi.astype(np.float64), yi.astype(np.float64))
+    return out.astype(np.int64).astype(object)
+
+
+def _gcd_reduce(arrays: Iterable[np.ndarray], start: int) -> int:
+    """gcd of ``start`` and every entry of ``arrays``; 1 at once if start is 1."""
+    g = start
+    for arr in arrays:
+        if g == 1:
+            break
+        try:
+            # np.gcd gives -2^63 for a gcd of 2^63; math.gcd takes the magnitude
+            g = math.gcd(g, int(np.gcd.reduce(arr.astype(np.int64), axis=None)))
+        except OverflowError:
+            for v in arr.flat:
+                g = math.gcd(g, int(v))
+                if g == 1:
+                    break
+    return g
 
 
 class ExactMatrix:
@@ -275,15 +320,15 @@ class ExactMatrix:
             return ExactMatrix(self.dim, self.radicand, ra, rb,
                                self.den * other.den)
         n = self.radicand
-        ra = np.dot(self.ra, other.ra)
+        ra = _int_dot(self.ra, other.ra)
         rb = None
         if self.rb is not None and other.rb is not None:
-            ra = ra + np.dot(self.rb, other.rb) * n
-            rb = np.dot(self.ra, other.rb) + np.dot(self.rb, other.ra)
+            ra = ra + _int_dot(self.rb, other.rb) * n
+            rb = _int_dot(self.ra, other.rb) + _int_dot(self.rb, other.ra)
         elif other.rb is not None:
-            rb = np.dot(self.ra, other.rb)
+            rb = _int_dot(self.ra, other.rb)
         elif self.rb is not None:
-            rb = np.dot(self.rb, other.ra)
+            rb = _int_dot(self.rb, other.ra)
         return ExactMatrix(self.dim, self.radicand, ra, rb, self.den * other.den)
 
     def schur(self, other: "ExactMatrix") -> "ExactMatrix":

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .exactmat import _int_dot
+
 SYLVESTER_MAX_EXPONENT = 12
 PALEY_MAX_ORDER = 4096
 
@@ -60,18 +62,17 @@ def verify_array(entries: np.ndarray) -> tuple[bool, int]:
     """Check H H^T == n I for a square +-1 integer array.
 
     Returns (ok, max absolute deviation).  Non +-1 entries fail immediately.
+    The Gram matrix is exact: its entries are sums of n products of +-1.
     """
-    h = np.asarray(entries, dtype=object)
+    h = np.asarray(entries)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         return False, -1
-    if not np.isin(np.asarray(entries), (-1, 1)).all():
+    if not np.isin(h, (-1, 1)).all():
         return False, -1
     n = h.shape[0]
-    gram = np.dot(h, h.T)
-    target = np.zeros((n, n), dtype=object)
-    for i in range(n):
-        target[i, i] = n
-    dev = max((abs(int(v)) for v in (gram - target).flat), default=0)
+    gram = _int_dot(h, h.T)
+    gram[np.diag_indices(n)] -= n
+    dev = int(np.abs(gram).max(initial=0))
     return dev == 0, dev
 
 

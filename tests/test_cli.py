@@ -1,8 +1,10 @@
 import json
+import time
 
 import pytest
 
-from fermigraph.cli import main
+from fermigraph.cli import (EXACT_MAX_VERTICES, CliInputError, _load_matrix,
+                            build_parser, main)
 from fermigraph.hadamard import HadamardMatrix, sylvester, verify
 
 
@@ -175,3 +177,48 @@ def test_spectrum_from_paley_order(capsys):
 def test_spectrum_requires_order(capsys):
     code, _, _ = run(["spectrum", "--k", "1", "--ell", "1"], capsys)
     assert code == 2
+
+
+def test_verify_order_sixty_four_passes(capsys):
+    code, out, _ = run(["verify", "--n", "64"], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 9
+    for line in lines:
+        if line.startswith("intersection_array:"):
+            assert line == "intersection_array: {64, 63, 32, 1; 1, 32, 63, 64}"
+        else:
+            assert ": pass" in line, line
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--n", "256"],
+    ["verify", "--k", "12"],
+    ["spectrum", "--k", "1", "--ell", "1", "--n", "4096"],
+    ["spectrum", "--k", "1", "--ell", "1", "--q", "131"],
+    ["heun", "--k", "1", "--ell", "1", "--n", "256"],
+])
+def test_exact_commands_refuse_orders_above_budget(argv, capsys):
+    start = time.perf_counter()
+    code, out, err = run(argv, capsys)
+    assert time.perf_counter() - start < 5.0  # refused before any build
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "fermigraph entropy" in err
+
+
+def test_exact_budget_applies_to_matrix_files(capsys, tmp_path):
+    path = tmp_path / "h256.json"
+    assert main(["gen", "--n", "256", "--out", str(path)]) == 0
+    code, out, err = run(["verify", "--in", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "budget" in err
+
+
+def test_exact_budget_boundary_is_order_128():
+    parser = build_parser()
+    args = parser.parse_args(["verify", "--n", "128"])
+    assert 4 * _load_matrix(args, exponent=args.k).order == EXACT_MAX_VERTICES
+    args = parser.parse_args(["verify", "--k", "8"])
+    with pytest.raises(CliInputError):
+        _load_matrix(args, exponent=args.k)

@@ -1,10 +1,14 @@
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fermigraph.exactmat import (DimensionMismatchError, ExactMatrix,
+from fermigraph.exactmat import (_FLOAT64_EXACT_LIMIT, DimensionMismatchError,
+                                 ExactMatrix, _int_dot, _max_abs,
                                  anticommutator, commutator)
 from fermigraph.qroot import QRootN, RadicandMismatchError
 
@@ -113,3 +117,138 @@ def test_equality_independent_of_representation():
     a = ExactMatrix(2, 2, np.array([[2, 0], [0, 2]], dtype=object), None, 2)
     b = ExactMatrix.identity(2, 2)
     assert a == b
+
+
+# -- exact integer kernel ------------------------------------------------------
+
+def object_dot(x, y):
+    """Reference product on Python ints."""
+    return np.dot(np.asarray(x, dtype=object), np.asarray(y, dtype=object))
+
+
+def assert_same_ints(got, want):
+    assert got.dtype == object and got.shape == want.shape
+    assert all(type(v) is int for v in got.flat)
+    assert got.tolist() == want.tolist()
+
+
+@st.composite
+def bounded_operands(draw, above: bool):
+    """Integer matrices x (r x N), y (N x c) whose max|x| * max|y| * N sits
+    just below 2^53 (above=False) or at or just above it (above=True)."""
+    inner = draw(st.integers(1, 6))
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    mx = draw(st.integers(1, 2**40))
+    if above:
+        my = -(-_FLOAT64_EXACT_LIMIT // (mx * inner))
+        my += draw(st.integers(0, 2))
+    else:
+        my = (_FLOAT64_EXACT_LIMIT - 1) // (mx * inner)
+        my -= draw(st.integers(0, min(2, my - 1)))
+
+    def matrix(shape, bound):
+        size = shape[0] * shape[1]
+        flat = draw(st.lists(st.integers(-bound, bound), min_size=size,
+                             max_size=size))
+        flat[draw(st.integers(0, size - 1))] = bound * draw(st.sampled_from([1, -1]))
+        return np.array(flat, dtype=object).reshape(shape)
+
+    return matrix((rows, inner), mx), matrix((inner, cols), my)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bounded_operands(above=False))
+def test_int_dot_exact_just_below_bound(operands):
+    x, y = operands
+    assert _max_abs(x) * _max_abs(y) * x.shape[1] < _FLOAT64_EXACT_LIMIT
+    assert_same_ints(_int_dot(x, y), object_dot(x, y))
+
+
+@settings(max_examples=60, deadline=None)
+@given(bounded_operands(above=True))
+def test_int_dot_exact_at_and_above_bound(operands):
+    x, y = operands
+    assert _max_abs(x) * _max_abs(y) * x.shape[1] >= _FLOAT64_EXACT_LIMIT
+    assert_same_ints(_int_dot(x, y), object_dot(x, y))
+
+
+@pytest.mark.parametrize("inner, float_path", [(7, True), (8, False)])
+def test_int_dot_switches_path_at_bound(inner, float_path, monkeypatch):
+    # 2^25 * 2^25 * 7 < 2^53 <= 2^25 * 2^25 * 8
+    seen = []
+    real_dot = np.dot
+    monkeypatch.setattr(np, "dot",
+                        lambda a, b: seen.append(a.dtype) or real_dot(a, b))
+    x = np.full((2, inner), 2**25, dtype=object)
+    y = np.full((inner, 3), -(2**25), dtype=object)
+    out = _int_dot(x, y)
+    assert seen == [np.dtype(np.float64) if float_path else np.dtype(object)]
+    monkeypatch.undo()
+    assert_same_ints(out, object_dot(x, y))
+
+
+@pytest.mark.parametrize("big", [2**63 - 1, -(2**63), 2**70, -(2**70), 2**27 + 1])
+def test_int_dot_extreme_entries_fall_back(big):
+    # 2**27 + 1 squared is odd and above 2^53: float64 would round it
+    rng = np.random.default_rng(abs(big) % 1000)
+    x = rng.integers(-3, 4, (3, 3)).astype(object)
+    y = rng.integers(-3, 4, (3, 3)).astype(object)
+    x[1, 2] = big
+    y[2, 0] = big
+    assert_same_ints(_int_dot(x, y), object_dot(x, y))
+    a = ExactMatrix(3, 1, x)
+    b = ExactMatrix(3, 1, y)
+    assert a @ b == entrywise_product(a, b)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from([2, 3, 5, 12]), st.integers(0, 2**32),
+       st.sampled_from([1, 2**40]))
+def test_sqrt_form_product_scaled_past_bound(radicand, seed, right_scale):
+    rng = random.Random(seed)
+    a = random_exact(4, radicand, rng).scale(2**40)
+    b = random_exact(4, radicand, rng).scale(right_scale)
+    assert a @ b == entrywise_product(a, b)
+
+
+def reference_canonical(ra, rb, den):
+    """Sign and gcd normalisation with the Python gcd loop."""
+    if den < 0:
+        ra, rb, den = -ra, None if rb is None else -rb, -den
+    g = den
+    for v in list(ra.flat) + ([] if rb is None else list(rb.flat)):
+        g = math.gcd(g, int(v))
+    return ra // g, None if rb is None else rb // g, den // g
+
+
+entry_values = st.one_of(st.integers(-50, 50), st.integers(-(2**70), 2**70),
+                         st.sampled_from([2**63 - 1, -(2**63), 2**63]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4), st.data(), st.sampled_from([1, 2, 6, 2**62, 2**64]),
+       st.integers(1, 10**6).map(lambda d: d * 2**11), st.booleans(),
+       st.booleans())
+def test_normalize_matches_python_gcd(dim, data, factor, den, unit_den, with_rb):
+    # a common factor of entries and denominator must cancel; with den == 1
+    # the entries are kept as they are
+    den = 1 if unit_den else den * factor * data.draw(st.sampled_from([1, -1]))
+    shape = (dim, dim)
+
+    def draw_array():
+        flat = data.draw(st.lists(entry_values, min_size=dim * dim,
+                                  max_size=dim * dim))
+        return np.array(flat, dtype=object).reshape(shape) * factor
+
+    ra = draw_array()
+    rb = draw_array() if with_rb else None
+    if rb is not None and not rb.any():
+        rb = None
+    want_ra, want_rb, want_den = reference_canonical(ra, rb, den)
+    m = ExactMatrix(dim, 2, ra, rb, den)
+    assert m.den == want_den
+    assert_same_ints(m.ra, want_ra)
+    if want_rb is None:
+        assert m.rb is None
+    else:
+        assert_same_ints(m.rb, want_rb)

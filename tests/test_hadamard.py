@@ -122,3 +122,16 @@ def test_corrupted_matrix_rejected(tmp_path):
     path.write_text(json.dumps({"order": 4, "rows": rows}))
     with pytest.raises(NotHadamardError):
         HadamardMatrix.load(path)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_verify_deviation_matches_object_gram(seed):
+    rng = np.random.default_rng(seed)
+    h = sylvester(8).entries.copy()
+    flips = rng.integers(0, 256, (seed + 1, 2))
+    h[flips[:, 0], flips[:, 1]] *= -1
+    h_obj = h.astype(object)
+    gram = np.dot(h_obj, h_obj.T) - 256 * np.eye(256, dtype=int)
+    ok, dev = verify(h)
+    assert not ok
+    assert dev == max(abs(int(v)) for v in gram.flat)
