@@ -24,8 +24,8 @@ import sys
 from pathlib import Path
 
 from .eig import EigenSolveError, InvalidSpectrumError, NonSymmetricError
-from .entangle import (chopped_correlation, correlation_report, entropy_sweep,
-                       heun_operator, projector_pair)
+from .entangle import (correlation_report, entropy_sweep, heun_operator,
+                       projector_pair)
 from .exactmat import commutator
 from .graphs import build_hadamard_graph
 from .hadamard import (SYLVESTER_MAX_EXPONENT, HadamardMatrix, NotHadamardError,
@@ -233,7 +233,7 @@ def cmd_heun(args) -> int:
     basis = terwilliger_basis(tables, base_vertex=0)
     t = heun_operator(tables, basis, args.k, args.ell)
     pair = projector_pair(tables, basis, args.k, args.ell)
-    pi = chopped_correlation(tables, basis, args.k, args.ell)
+    pi = pair.pi2.masked_support(pair.support)
     lines = [
         f"T(K={args.k}, ell={args.ell}) for order {graph.order}",
         f"mu = {t.mu}", f"nu = {t.nu}",

@@ -75,19 +75,15 @@ def _int_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _gcd_reduce(arrays: Iterable[np.ndarray], start: int) -> int:
-    """gcd of ``start`` and every entry of ``arrays``; 1 at once if start is 1."""
+    if start == 1:
+        return 1
     g = start
     for arr in arrays:
-        if g == 1:
-            break
-        try:
-            # np.gcd gives -2^63 for a gcd of 2^63; math.gcd takes the magnitude
-            g = math.gcd(g, int(np.gcd.reduce(arr.astype(np.int64), axis=None)))
-        except OverflowError:
-            for v in arr.flat:
-                g = math.gcd(g, int(v))
+        for v in arr.flat:
+            if v:
+                g = math.gcd(g, v if v > 0 else -v)
                 if g == 1:
-                    break
+                    return 1
     return g
 
 

@@ -13,8 +13,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .exactmat import _int_dot
-
 SYLVESTER_MAX_EXPONENT = 12
 PALEY_MAX_ORDER = 4096
 
@@ -62,7 +60,8 @@ def verify_array(entries: np.ndarray) -> tuple[bool, int]:
     """Check H H^T == n I for a square +-1 integer array.
 
     Returns (ok, max absolute deviation).  Non +-1 entries fail immediately.
-    The Gram matrix is exact: its entries are sums of n products of +-1.
+    The Gram matrix is computed in float64 and is exact: every partial sum
+    of its entries is an integer of magnitude at most n < 2^53.
     """
     h = np.asarray(entries)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
@@ -70,7 +69,8 @@ def verify_array(entries: np.ndarray) -> tuple[bool, int]:
     if not np.isin(h, (-1, 1)).all():
         return False, -1
     n = h.shape[0]
-    gram = _int_dot(h, h.T)
+    hf = h.astype(np.float64)
+    gram = hf @ hf.T
     gram[np.diag_indices(n)] -= n
     dev = int(np.abs(gram).max(initial=0))
     return dev == 0, dev
