@@ -10,7 +10,8 @@ Subcommands
 The --k flag is the Sylvester exponent for gen/verify and the energy cutoff
 for spectrum/heun (those take the order through --n or --q).  verify,
 spectrum and heun work on exact N x N matrices, N = 4n, and refuse graphs
-above EXACT_MAX_VERTICES before building any of them.  Exit codes: 0
+above EXACT_MAX_VERTICES before building any of them; entropy refuses
+orders above ENTROPY_MAX_VERTICES the same way.  Exit codes: 0
 success, 2 input validation, 3 exact-identity failure, 4 numerical failure.
 Output is deterministic: fixed key order, fixed float formatting, no
 timestamps.
@@ -44,8 +45,13 @@ EXIT_NUMERIC = 4
 # verify, spectrum and heun build dense N x N matrices over Q(sqrt(n)).
 # verify takes about 35 s and 115 MB at order 128 (N = 512) on two x86-64
 # cores; each doubling of n costs about 8x the time (the products are
-# O(N^3)) and 4x the memory.  The float path of `entropy` has no such limit.
+# O(N^3)) and 4x the memory.  `entropy` has its own, larger budget.
 EXACT_MAX_VERTICES = 512
+# Size budget of `entropy`: its graph build still makes 4n x 4n object
+# distance matrices.  The default six pairs at order 512 (N = 2048) take
+# about 14 s and 475 MB peak RSS on two x86-64 cores; each doubling of n
+# costs about 4x the memory, so order 1024 would need about 2 GB.
+ENTROPY_MAX_VERTICES = 2048
 
 
 class CliInputError(ValueError):
@@ -67,19 +73,23 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _check_budget(order: int, max_vertices: int | None, scope: str) -> None:
+    """Refuse an order whose 4n vertices exceed ``max_vertices`` (None: no
+    budget); callers run this before the graph of that order is built."""
+    if max_vertices is not None and 4 * order > max_vertices:
+        raise CliInputError(
+            f"order {order} gives {4 * order} vertices, above the budget of "
+            f"{max_vertices} (order {max_vertices // 4}) {scope}")
+
+
 def _load_matrix(args, exponent: int | None, exact: bool = True) -> HadamardMatrix:
     """Resolve the matrix source from --construction/--k/--n/--q/--in.
 
     With ``exact`` the order is held to the exact-path budget before any
     matrix is built (for --in, once the file is loaded).
     """
-    def check(order: int) -> None:
-        if exact and 4 * order > EXACT_MAX_VERTICES:
-            raise CliInputError(
-                f"order {order} gives {4 * order} vertices, above the exact-path "
-                f"budget of {EXACT_MAX_VERTICES} (order {EXACT_MAX_VERTICES // 4}); "
-                f"use 'fermigraph entropy' for larger orders")
-
+    budget = EXACT_MAX_VERTICES if exact else None
+    scope = "of the exact path; use 'fermigraph entropy' for larger orders"
     construction = args.construction
     if args.infile is not None:
         construction = "file"
@@ -94,7 +104,7 @@ def _load_matrix(args, exponent: int | None, exact: bool = True) -> HadamardMatr
             raise CliInputError(str(exc)) from exc
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise CliInputError(f"bad matrix file: {exc}") from exc
-        check(h.order)
+        _check_budget(h.order, budget, scope)
         return h
     if construction == "paley" and args.q is None:
         raise CliInputError("paley construction needs --q")
@@ -104,10 +114,10 @@ def _load_matrix(args, exponent: int | None, exact: bool = True) -> HadamardMatr
         if n <= 0 or 2**k != n:
             raise CliInputError(
                 f"--n {n} is not a power of two; use --q for Paley orders")
-        check(n)
+        _check_budget(n, budget, scope)
         return sylvester(k)
     if args.q is not None:
-        check(args.q + 1)
+        _check_budget(args.q + 1, budget, scope)
         try:
             return paley(args.q)
         except ValueError as exc:
@@ -115,7 +125,7 @@ def _load_matrix(args, exponent: int | None, exact: bool = True) -> HadamardMatr
     if exponent is None:
         raise CliInputError("need --n (order) or --q (Paley prime)")
     if 0 <= exponent <= SYLVESTER_MAX_EXPONENT:
-        check(2**exponent)
+        _check_budget(2**exponent, budget, scope)
     try:
         return sylvester(exponent)
     except ValueError as exc:
@@ -208,12 +218,11 @@ def cmd_entropy(args) -> int:
             pairs.append((int(k), int(ell)))
     else:
         pairs = [(1, 1), (1, 2), (2, 2), (1, 3), (2, 3), (3, 3)]
-    graphs = []
     for n in orders:
-        k = n.bit_length() - 1
-        if n <= 1 or 2**k != n:
+        if n <= 1 or 2**(n.bit_length() - 1) != n:
             raise CliInputError(f"sweep orders must be powers of two, got {n}")
-        graphs.append(build_hadamard_graph(sylvester(k)))
+        _check_budget(n, ENTROPY_MAX_VERTICES, "of entropy")
+    graphs = [build_hadamard_graph(sylvester(n.bit_length() - 1)) for n in orders]
     rows = entropy_sweep(graphs, pairs)
     lines = ["n,K,ell,S,S_per_n,S_4n_over_ln_n,limit,delta"]
     for r in rows:

@@ -70,10 +70,9 @@ def projector_pair(tables: SchemeTables, basis: TerwilligerBasis,
     d = tables.diameter
     if not 0 <= K <= d or not 0 <= ell <= d:
         raise ValueError(f"cutoffs must lie in [0, {d}]")
-    n = tables.radicand
-    pi1 = ExactMatrix.zeros(tables.vertex_count, n)
-    for s in range(ell + 1):
-        pi1 = pi1 + basis.dual_idempotents[s]
+    pi1 = ExactMatrix.combination(
+        [(1, e) for e in basis.dual_idempotents[: ell + 1]],
+        tables.vertex_count, tables.radicand)
     pi2 = ground_state_correlation(tables, K)
     support = np.array([bool(pi1.ra[i, i]) for i in range(pi1.dim)])
     return ProjectorPair(neighbourhood_cut=ell, energy_cut=K,
@@ -85,10 +84,8 @@ def ground_state_correlation(tables: SchemeTables, K: int) -> ExactMatrix:
     d = tables.diameter
     if not 0 <= K <= d:
         raise ValueError(f"energy cutoff must lie in [0, {d}]")
-    acc = ExactMatrix.zeros(tables.vertex_count, tables.radicand)
-    for k in range(K + 1):
-        acc = acc + tables.idempotents[k]
-    return acc
+    return ExactMatrix.combination([(1, e) for e in tables.idempotents[: K + 1]],
+                                   tables.vertex_count, tables.radicand)
 
 
 def chopped_correlation(tables: SchemeTables, basis: TerwilligerBasis,
@@ -127,7 +124,8 @@ def heun_operator(tables: SchemeTables, basis: TerwilligerBasis,
     astar = basis.dual_adjacency
     mu = -(tables.eigenmatrix_p[K][1] + tables.eigenmatrix_p[K + 1][1])
     nu = -(tables.eigenmatrix_q[ell][1] + tables.eigenmatrix_q[ell + 1][1])
-    t = (a @ astar) + (astar @ a) + astar.scale(mu) + a.scale(nu)
+    t = ExactMatrix.combination([(1, a @ astar), (1, astar @ a), (mu, astar),
+                                 (nu, a)], a.dim, a.radicand)
     return HeunOperator(energy_cut=K, neighbourhood_cut=ell,
                         mu=mu, nu=nu, matrix=t)
 
@@ -136,38 +134,35 @@ def heun_expansion_neighbourhood(tables: SchemeTables, basis: TerwilligerBasis,
                                  mu: QRootN, nu: QRootN) -> ExactMatrix:
     """Rebuild T from its block-tridiagonal form in the dual-idempotent family."""
     d = tables.diameter
-    n = tables.radicand
     a = tables.adjacency
     estars = basis.dual_idempotents
     q1 = [tables.eigenmatrix_q[i][1] for i in range(d + 1)]
-    acc = ExactMatrix.zeros(tables.vertex_count, n)
+    terms = []
     for i in range(d + 1):
-        acc = acc + (estars[i] @ a @ estars[i]).scale(q1[i] * 2 + nu)
-        acc = acc + estars[i].scale(mu * q1[i])
+        terms += [(q1[i] * 2 + nu, estars[i] @ a @ estars[i]),
+                  (mu * q1[i], estars[i])]
     for i in range(1, d + 1):
         coeff = q1[i - 1] + q1[i] + nu
         cross = estars[i - 1] @ a @ estars[i]
-        acc = acc + (cross + cross.T).scale(coeff)
-    return acc
+        terms += [(coeff, cross), (coeff, cross.T)]
+    return ExactMatrix.combination(terms, tables.vertex_count, tables.radicand)
 
 
 def heun_expansion_energy(tables: SchemeTables, basis: TerwilligerBasis,
                           mu: QRootN, nu: QRootN) -> ExactMatrix:
     """Rebuild T from its block-tridiagonal form in the idempotent family."""
     d = tables.diameter
-    n = tables.radicand
     astar = basis.dual_adjacency
     es = tables.idempotents
     p1 = [tables.eigenmatrix_p[i][1] for i in range(d + 1)]
-    acc = ExactMatrix.zeros(tables.vertex_count, n)
+    terms = []
     for i in range(d + 1):
-        acc = acc + (es[i] @ astar @ es[i]).scale(p1[i] * 2 + mu)
-        acc = acc + es[i].scale(nu * p1[i])
+        terms += [(p1[i] * 2 + mu, es[i] @ astar @ es[i]), (nu * p1[i], es[i])]
     for i in range(1, d + 1):
         coeff = p1[i - 1] + p1[i] + mu
         cross = es[i - 1] @ astar @ es[i]
-        acc = acc + (cross + cross.T).scale(coeff)
-    return acc
+        terms += [(coeff, cross), (coeff, cross.T)]
+    return ExactMatrix.combination(terms, tables.vertex_count, tables.radicand)
 
 
 # -- spectra -------------------------------------------------------------------
@@ -361,8 +356,8 @@ def correlation_report(tables: SchemeTables, basis: TerwilligerBasis,
     pi = pair.pi2.masked_support(pair.support)
     tr = pi.trace()
     # trace identity: constant idempotent diagonals force N_ell * F_K / N
-    nl = sum(int(v) for v in pair.support)
-    fk = sum(tables.multiplicities[: K + 1])
+    nl = pair.sites
+    fk = tables.cumulative_multiplicities()[K]
     expected = QRootN(Fraction(nl * fk, tables.vertex_count), 0, tables.radicand)
     if tr != expected:
         raise InvalidSpectrumError(

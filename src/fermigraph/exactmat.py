@@ -10,6 +10,13 @@ it does for every matrix over a perfect-square radicand; products then cost a
 single integer matmul instead of four.  Instances are treated as immutable:
 all operations return fresh matrices.
 
+The product rule (a + b sqrt n)(c + d sqrt n) = (ac + bdn) + (ad + bc) sqrt n
+is written once, in ``_qprod``, for any product of the parts: the integer
+matmul of a dense ``@``, a row or column broadcast for a diagonal operand,
+the elementwise product of ``schur`` and of scalar coefficients.  Every
+linear combination sum_k c_k M_k, ``+``, ``-`` and ``scale`` included, is one
+``ExactMatrix.combination``: one common denominator, one normalization.
+
 Storage and kernel are split.  ``ra`` and ``rb`` are stored with dtype=object,
 so entries are Python ints and never overflow.  The integer products inside
 a dense matmul run on float64 BLAS whenever ``max|x| * max|y| * N < 2^53``,
@@ -20,8 +27,8 @@ operands fall back to the object product (see ``_int_dot``).
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
-from functools import reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -72,6 +79,46 @@ def _int_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return np.dot(_as_object(x), _as_object(y))
     out = np.dot(xi.astype(np.float64), yi.astype(np.float64))
     return out.astype(np.int64).astype(object)
+
+
+def _qprod(xa, xb, ya, yb, n: int, mul):
+    """(xa + xb sqrt n)(ya + yb sqrt n) as its (rational, irrational) parts.
+
+    ``mul`` multiplies two parts; ``None`` stands for a vanishing sqrt(n)
+    part, and an irrational result part is ``None`` when both operands
+    have none.
+    """
+    ra = mul(xa, ya)
+    if xb is None and yb is None:
+        return ra, None
+    if yb is None:
+        return ra, mul(xb, ya)
+    if xb is None:
+        return ra, mul(xa, yb)
+    ra = ra + mul(xb, yb) * n  # rebinding frees the first product early
+    return ra, mul(xa, yb) + mul(xb, ya)
+
+
+def _over_common_den(values, radicand: int):
+    """Values in Q(sqrt(radicand)) as integer arrays ``a``, ``b`` (``None``
+    when every sqrt part vanishes) over one common denominator ``den``."""
+    scalars = [v if isinstance(v, QRootN) else QRootN(v, 0, radicand)
+               for v in values]
+    if any(s.n != radicand for s in scalars):
+        raise RadicandMismatchError("value radicand differs from matrix")
+    den = math.lcm(*(s.a.denominator for s in scalars),
+                   *(s.b.denominator for s in scalars))
+    a = np.array([int(s.a * den) for s in scalars], dtype=object)
+    b = np.array([int(s.b * den) for s in scalars], dtype=object)
+    return a, (b if b.any() else None), den
+
+
+def _check_conforming(dim: int, radicand: int, m: "ExactMatrix") -> None:
+    if dim != m.dim:
+        raise DimensionMismatchError(f"dim {dim} vs {m.dim}")
+    if radicand != m.radicand:
+        raise RadicandMismatchError(
+            f"radicand mismatch: {radicand} vs {m.radicand}")
 
 
 def _gcd_reduce(arrays: Iterable[np.ndarray], start: int) -> int:
@@ -134,47 +181,19 @@ class ExactMatrix:
     @classmethod
     def diagonal(cls, values: Sequence[QRootN | int | Fraction],
                  radicand: int = 1) -> "ExactMatrix":
-        dim = len(values)
-        scalars = [v if isinstance(v, QRootN) else QRootN(v, 0, radicand)
-                   for v in values]
-        if any(s.n != radicand for s in scalars):
-            raise RadicandMismatchError("diagonal values carry a different radicand")
-        den = reduce(math.lcm, (s.a.denominator for s in scalars), 1)
-        den = reduce(math.lcm, (s.b.denominator for s in scalars), den)
-        ra = np.zeros((dim, dim), dtype=object)
-        rb = np.zeros((dim, dim), dtype=object)
-        irrational = False
-        for i, s in enumerate(scalars):
-            ra[i, i] = int(s.a * den)
-            bi = int(s.b * den)
-            rb[i, i] = bi
-            irrational = irrational or bi != 0
-        return cls(dim, radicand, ra, rb if irrational else None, den)
+        a, b, den = _over_common_den(values, radicand)
+        return cls(len(values), radicand, np.diag(a),
+                   None if b is None else np.diag(b), den)
 
     @classmethod
     def from_scalars(cls, rows: Sequence[Sequence[QRootN | int | Fraction]],
                      radicand: int) -> "ExactMatrix":
         dim = len(rows)
-        scalars = [[v if isinstance(v, QRootN) else QRootN(v, 0, radicand)
-                    for v in row] for row in rows]
-        den = 1
-        for row in scalars:
-            for s in row:
-                if s.n != radicand:
-                    raise RadicandMismatchError("entry radicand differs from matrix")
-                den = math.lcm(den, s.a.denominator, s.b.denominator)
-        ra = np.empty((dim, dim), dtype=object)
-        rb = np.empty((dim, dim), dtype=object)
-        irrational = False
-        for i, row in enumerate(scalars):
-            if len(row) != dim:
-                raise DimensionMismatchError("matrix must be square")
-            for j, s in enumerate(row):
-                ra[i, j] = int(s.a * den)
-                bij = int(s.b * den)
-                rb[i, j] = bij
-                irrational = irrational or bij != 0
-        return cls(dim, radicand, ra, rb if irrational else None, den)
+        if any(len(row) != dim for row in rows):
+            raise DimensionMismatchError("matrix must be square")
+        a, b, den = _over_common_den([v for row in rows for v in row], radicand)
+        return cls(dim, radicand, a.reshape(dim, dim),
+                   None if b is None else b.reshape(dim, dim), den)
 
     # -- canonical form ------------------------------------------------------
 
@@ -240,28 +259,48 @@ class ExactMatrix:
 
     # -- ring operations -------------------------------------------------------
 
-    def _check_conforming(self, other: "ExactMatrix") -> None:
-        if self.dim != other.dim:
-            raise DimensionMismatchError(f"dim {self.dim} vs {other.dim}")
-        if self.radicand != other.radicand:
-            raise RadicandMismatchError(
-                f"radicand mismatch: {self.radicand} vs {other.radicand}")
+    @classmethod
+    def combination(cls, terms, dim: int, radicand: int) -> "ExactMatrix":
+        """sum_k c_k M_k for ``(c_k, M_k)`` pairs, normalized once.
+
+        Coefficients are QRootN, int or Fraction.  Every term must match
+        ``dim`` and ``radicand`` (a QRootN coefficient too); zero
+        coefficients are skipped, and an empty or all-zero sum is the zero
+        matrix.
+        """
+        parts = []
+        den = 1
+        for c, m in terms:
+            _check_conforming(dim, radicand, m)
+            if not isinstance(c, QRootN):
+                c = QRootN(c, 0, radicand)
+            elif c.n != radicand:
+                raise RadicandMismatchError("scalar radicand differs from matrix")
+            if c:
+                cd = math.lcm(c.a.denominator, c.b.denominator)
+                parts.append((int(c.a * cd), int(c.b * cd), m, m.den * cd))
+                den = math.lcm(den, m.den * cd)
+        if not parts:
+            return cls.zeros(dim, radicand)
+        # each term is brought to ``den`` and added in place, so no list of
+        # scaled N x N arrays is ever held
+        ra = rb = None
+        for pa, pb, m, term_den in parts:
+            f = den // term_den
+            ta, tb = _qprod(pa * f, pb * f or None, m.ra, m.rb, radicand,
+                            operator.mul)
+            ra = ta if ra is None else np.add(ra, ta, out=ra)
+            if tb is not None:
+                rb = tb if rb is None else np.add(rb, tb, out=rb)
+        return cls(dim, radicand, ra, rb, den)
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._check_conforming(other)
-        den = math.lcm(self.den, other.den)
-        m1, m2 = den // self.den, den // other.den
-        ra = self.ra * m1 + other.ra * m2
-        if self.rb is None and other.rb is None:
-            rb = None
-        else:
-            b1 = 0 if self.rb is None else self.rb * m1
-            b2 = 0 if other.rb is None else other.rb * m2
-            rb = b1 + b2
-        return ExactMatrix(self.dim, self.radicand, ra, rb, den)
+        return ExactMatrix.combination(((1, self), (1, other)), self.dim,
+                                       self.radicand)
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return self + (-other)
+        return ExactMatrix.combination(((1, self), (-1, other)), self.dim,
+                                       self.radicand)
 
     def __neg__(self) -> "ExactMatrix":
         return ExactMatrix(self.dim, self.radicand, -self.ra,
@@ -269,77 +308,26 @@ class ExactMatrix:
                            self.den, _normalized=True)
 
     def scale(self, c: QRootN | int | Fraction) -> "ExactMatrix":
-        if not isinstance(c, QRootN):
-            c = QRootN(c, 0, self.radicand)
-        elif c.n != self.radicand:
-            raise RadicandMismatchError("scalar radicand differs from matrix")
-        cd = math.lcm(c.a.denominator, c.b.denominator)
-        pa, pb = int(c.a * cd), int(c.b * cd)
-        n = self.radicand
-        ra = self.ra * pa
-        rb = None
-        if pb:
-            if self.rb is not None:
-                ra = ra + self.rb * (pb * n)
-                rb = self.ra * pb + self.rb * pa
-            else:
-                rb = self.ra * pb
-        elif self.rb is not None:
-            rb = self.rb * pa
-        return ExactMatrix(self.dim, self.radicand, ra, rb, self.den * cd)
+        return ExactMatrix.combination(((c, self),), self.dim, self.radicand)
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._check_conforming(other)
-        # diagonal operands reduce the product to a row or column scaling
+        _check_conforming(self.dim, self.radicand, other)
+        x, y, mul = (self.ra, self.rb), (other.ra, other.rb), _int_dot
+        # a diagonal operand reduces the product to a row or column scaling
         if self.is_diagonal():
-            da = self.ra.diagonal().reshape(-1, 1)
-            ra = da * other.ra
-            rb = None if other.rb is None else da * other.rb
-            if self.rb is not None:
-                db = self.rb.diagonal().reshape(-1, 1)
-                n = self.radicand
-                ra = ra + (db * other.rb) * n if other.rb is not None else ra
-                extra = db * other.ra
-                rb = extra if rb is None else rb + extra
-            return ExactMatrix(self.dim, self.radicand, ra, rb,
-                               self.den * other.den)
-        if other.is_diagonal():
-            da = other.ra.diagonal().reshape(1, -1)
-            ra = self.ra * da
-            rb = None if self.rb is None else self.rb * da
-            if other.rb is not None:
-                db = other.rb.diagonal().reshape(1, -1)
-                n = self.radicand
-                ra = ra + (self.rb * db) * n if self.rb is not None else ra
-                extra = self.ra * db
-                rb = extra if rb is None else rb + extra
-            return ExactMatrix(self.dim, self.radicand, ra, rb,
-                               self.den * other.den)
-        n = self.radicand
-        ra = _int_dot(self.ra, other.ra)
-        rb = None
-        if self.rb is not None and other.rb is not None:
-            ra = ra + _int_dot(self.rb, other.rb) * n
-            rb = _int_dot(self.ra, other.rb) + _int_dot(self.rb, other.ra)
-        elif other.rb is not None:
-            rb = _int_dot(self.ra, other.rb)
-        elif self.rb is not None:
-            rb = _int_dot(self.rb, other.ra)
+            x = [None if p is None else p.diagonal()[:, None] for p in x]
+            mul = operator.mul
+        elif other.is_diagonal():
+            y = [None if p is None else p.diagonal()[None, :] for p in y]
+            mul = operator.mul
+        ra, rb = _qprod(*x, *y, self.radicand, mul)
         return ExactMatrix(self.dim, self.radicand, ra, rb, self.den * other.den)
 
     def schur(self, other: "ExactMatrix") -> "ExactMatrix":
         """Entrywise (Schur) product."""
-        self._check_conforming(other)
-        n = self.radicand
-        ra = self.ra * other.ra
-        rb = None
-        if self.rb is not None and other.rb is not None:
-            ra = ra + self.rb * other.rb * n
-            rb = self.ra * other.rb + self.rb * other.ra
-        elif other.rb is not None:
-            rb = self.ra * other.rb
-        elif self.rb is not None:
-            rb = self.rb * other.ra
+        _check_conforming(self.dim, self.radicand, other)
+        ra, rb = _qprod(self.ra, self.rb, other.ra, other.rb, self.radicand,
+                        operator.mul)
         return ExactMatrix(self.dim, self.radicand, ra, rb, self.den * other.den)
 
     def transpose(self) -> "ExactMatrix":

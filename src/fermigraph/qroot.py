@@ -145,11 +145,6 @@ class QRootN:
     def __float__(self) -> float:
         return float(self.a) + float(self.b) * math.sqrt(self.n)
 
-    def as_fraction(self) -> Fraction:
-        if self.b != 0:
-            raise ValueError(f"{self} is irrational")
-        return self.a
-
     def __repr__(self) -> str:
         return f"QRootN({self.a}, {self.b}, {self.n})"
 

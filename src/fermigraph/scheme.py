@@ -74,11 +74,9 @@ def lagrange_idempotents(a: ExactMatrix,
             coeffs = nxt
         if not denom:
             raise SchemeError("repeated eigenvalue in the spectrum list")
-        acc = ExactMatrix.zeros(a.dim, a.radicand)
         inv = denom.inverse()
-        for deg, c in enumerate(coeffs):
-            acc = acc + powers[deg].scale(c * inv)
-        idempotents.append(acc)
+        idempotents.append(ExactMatrix.combination(
+            [(c * inv, p) for c, p in zip(coeffs, powers)], a.dim, a.radicand))
     return idempotents
 
 
@@ -152,15 +150,13 @@ def intersection_numbers(distance: list[ExactMatrix]) -> list:
     for i in range(d + 1):
         for j in range(i, d + 1):
             prod = distance[i] @ distance[j]
-            recon = ExactMatrix.zeros(prod.dim, n)
             for k, (x, y) in enumerate(reps):
                 v = prod.entry(x, y)
                 if not v.is_rational() or v.a.denominator != 1 or v.a < 0:
                     raise SchemeError(f"p[{i}][{j}][{k}] is not a nonnegative integer")
-                pij = int(v.a)
-                table[i][j][k] = table[j][i][k] = pij
-                if pij:
-                    recon = recon + distance[k].scale(pij)
+                table[i][j][k] = table[j][i][k] = int(v.a)
+            recon = ExactMatrix.combination(zip(table[i][j], distance),
+                                            prod.dim, n)
             if recon != prod:
                 raise SchemeError(
                     f"A_{i} A_{j} is not constant on distance classes; "
@@ -197,14 +193,13 @@ def eigenmatrices(distance: list[ExactMatrix], idempotents: list[ExactMatrix],
             qmat[i][j] = idempotents[j].entry(x, y) * bign
     # verify both relations and P Q = N I exactly
     for j in range(d + 1):
-        recon_a = ExactMatrix.zeros(bign, n)
-        for i in range(d + 1):
-            recon_a = recon_a + idempotents[i].scale(pmat[i][j])
+        recon_a = ExactMatrix.combination(
+            [(pmat[i][j], idempotents[i]) for i in range(d + 1)], bign, n)
         if recon_a != distance[j]:
             raise SchemeError(f"A_{j} != sum_i P_ij E_i")
-        recon_e = ExactMatrix.zeros(bign, n)
-        for i in range(d + 1):
-            recon_e = recon_e + distance[i].scale(qmat[i][j] * Fraction(1, bign))
+        recon_e = ExactMatrix.combination(
+            [(qmat[i][j] * Fraction(1, bign), distance[i]) for i in range(d + 1)],
+            bign, n)
         if recon_e != idempotents[j]:
             raise SchemeError(f"E_{j} != (1/N) sum_i Q_ij A_i")
     for i in range(d + 1):
@@ -236,10 +231,9 @@ def krein_parameters(distance: list[ExactMatrix], idempotents: list[ExactMatrix]
                     acc = acc + coeffs[m] * pmat[k][m]
                 q = acc * bign
                 table[i][j][k] = table[j][i][k] = q
-            recon = ExactMatrix.zeros(bign, n)
-            for k in range(d + 1):
-                recon = recon + idempotents[k].scale(
-                    table[i][j][k] * Fraction(1, bign))
+            recon = ExactMatrix.combination(
+                [(q * Fraction(1, bign), e) for q, e in zip(table[i][j], idempotents)],
+                bign, n)
             if recon != schur:
                 raise SchemeError(f"E_{i} o E_{j} reconstruction failed")
     return table
@@ -276,12 +270,9 @@ def build_scheme(graph: SchemeGraph) -> SchemeTables:
 
     if dist[0] != ident:
         raise SchemeError("A_0 != I")
-    total = ExactMatrix.zeros(bign, n)
-    for a in dist:
-        if not a.is_symmetric():
-            raise SchemeError("distance matrix not symmetric")
-        total = total + a
-    if total != allones:
+    if not all(a.is_symmetric() for a in dist):
+        raise SchemeError("distance matrix not symmetric")
+    if ExactMatrix.combination([(1, a) for a in dist], bign, n) != allones:
         raise SchemeError("sum_i A_i != J")
     for i in range(d + 1):
         for j in range(i + 1, d + 1):
@@ -294,16 +285,12 @@ def build_scheme(graph: SchemeGraph) -> SchemeTables:
     if len(thetas) != d + 1:
         raise SchemeError("need exactly d+1 distinct eigenvalues")
     idem = lagrange_idempotents(dist[1], thetas)
-    total_e = ExactMatrix.zeros(bign, n)
-    recon_a = ExactMatrix.zeros(bign, n)
     for k, e in enumerate(idem):
         if e @ e != e:
             raise SchemeError(f"E_{k} is not idempotent (wrong eigenvalue list?)")
-        total_e = total_e + e
-        recon_a = recon_a + e.scale(thetas[k])
-    if total_e != ident:
+    if ExactMatrix.combination([(1, e) for e in idem], bign, n) != ident:
         raise SchemeError("sum_k E_k != I")
-    if recon_a != dist[1]:
+    if ExactMatrix.combination(zip(thetas, idem), bign, n) != dist[1]:
         raise SchemeError("A != sum_k theta_k E_k")
     for i in range(d + 1):
         for j in range(i + 1, d + 1):

@@ -61,18 +61,15 @@ def terwilliger_basis(tables: SchemeTables, base_vertex: int = 0) -> Terwilliger
     astars = dual_distance(base_vertex, list(tables.idempotents),
                            tables.vertex_count)
     n = tables.radicand
-    ident = ExactMatrix.identity(tables.vertex_count, n)
-    total = ExactMatrix.zeros(tables.vertex_count, n)
-    for estar in estars:
-        total = total + estar
-    if total != ident:
+    bign = tables.vertex_count
+    ident = ExactMatrix.identity(bign, n)
+    if ExactMatrix.combination([(1, e) for e in estars], bign, n) != ident:
         raise SchemeError("dual idempotents do not resolve the identity")
     if astars[0] != ident:
         raise SchemeError("A*_0 != I")
     # A* must expand as sum_i Q_i1 E*_i
-    recon = ExactMatrix.zeros(tables.vertex_count, n)
-    for i, estar in enumerate(estars):
-        recon = recon + estar.scale(tables.eigenmatrix_q[i][1])
+    recon = ExactMatrix.combination(
+        [(row[1], e) for row, e in zip(tables.eigenmatrix_q, estars)], bign, n)
     if recon != astars[1]:
         raise SchemeError("A* != sum_i Q_i1 E*_i")
     return TerwilligerBasis(
@@ -90,11 +87,8 @@ def verify_dual_products(basis: TerwilligerBasis) -> None:
     for i in range(d + 1):
         for j in range(i, d + 1):
             prod = basis.dual_distance[i] @ basis.dual_distance[j]
-            recon = ExactMatrix.zeros(t.vertex_count, t.radicand)
-            for k in range(d + 1):
-                q = t.krein[i][j][k]
-                if q:
-                    recon = recon + basis.dual_distance[k].scale(q)
+            recon = ExactMatrix.combination(zip(t.krein[i][j], basis.dual_distance),
+                                            t.vertex_count, t.radicand)
             if recon != prod:
                 raise SchemeError(f"A*_{i} A*_{j} != sum_k q A*_k")
 
@@ -116,22 +110,17 @@ def triple_vanishing_check(basis: TerwilligerBasis) -> TripleVanishingReport:
     d = t.diameter
     violations: list[tuple[str, int, int, int]] = []
     checked = 0
-    for i in range(d + 1):
-        for j in range(d + 1):
-            sandwich_left = basis.dual_idempotents[i] @ t.distance[j]
-            for k in range(d + 1):
-                triple = sandwich_left @ basis.dual_idempotents[k]
-                if triple.is_zero() != (t.p_numbers[i][j][k] == 0):
-                    violations.append(("EsAEs", i, j, k))
-                checked += 1
-    for i in range(d + 1):
-        for j in range(d + 1):
-            sandwich_left = t.idempotents[i] @ basis.dual_distance[j]
-            for k in range(d + 1):
-                triple = sandwich_left @ t.idempotents[k]
-                if triple.is_zero() != (not bool(t.krein[i][j][k])):
-                    violations.append(("EAsE", i, j, k))
-                checked += 1
+    families = (("EsAEs", basis.dual_idempotents, t.distance, t.p_numbers),
+                ("EAsE", t.idempotents, basis.dual_distance, t.krein))
+    for label, outer, middle, table in families:
+        for i in range(d + 1):
+            for j in range(d + 1):
+                sandwich_left = outer[i] @ middle[j]
+                for k in range(d + 1):
+                    triple = sandwich_left @ outer[k]
+                    if triple.is_zero() != (not table[i][j][k]):
+                        violations.append((label, i, j, k))
+                    checked += 1
     return TripleVanishingReport(checked=checked, violations=tuple(violations))
 
 
@@ -143,19 +132,17 @@ def block_tridiagonal_decompose(m: ExactMatrix,
     The blocks are returned for all (i, j) and their sum is verified to
     reconstruct M exactly.
     """
-    total = ExactMatrix.zeros(m.dim, m.radicand)
-    for p in projectors:
-        total = total + p
+    total = ExactMatrix.combination([(1, p) for p in projectors], m.dim,
+                                    m.radicand)
     if total != ExactMatrix.identity(m.dim, m.radicand):
         raise SchemeError("projector family does not resolve the identity")
     blocks: dict[tuple[int, int], ExactMatrix] = {}
-    recon = ExactMatrix.zeros(m.dim, m.radicand)
     for i, pi in enumerate(projectors):
         left = pi @ m
         for j, pj in enumerate(projectors):
-            b = left @ pj
-            blocks[(i, j)] = b
-            recon = recon + b
+            blocks[(i, j)] = left @ pj
+    recon = ExactMatrix.combination([(1, b) for b in blocks.values()], m.dim,
+                                    m.radicand)
     if recon != m:
         raise SchemeError("block decomposition does not reconstruct the input")
     return blocks
@@ -172,10 +159,6 @@ def cubic_relation_residual(a: ExactMatrix, astar: ExactMatrix,
     Both vanish exactly when (rho, tau) match the eigenvalue spacing of the
     scheme (sqrt(n) and n for Hadamard graphs, 2 and 4 for hypercubes).
     """
-    if not isinstance(rho, QRootN):
-        rho = QRootN(rho, 0, a.radicand)
-    if not isinstance(tau, QRootN):
-        tau = QRootN(tau, 0, a.radicand)
     a2 = a @ a
     r1 = a2 @ astar - (a @ astar @ a).scale(rho) + astar @ a2 - astar.scale(tau)
     s2 = astar @ astar

@@ -3,8 +3,9 @@ import time
 
 import pytest
 
-from fermigraph.cli import (EXACT_MAX_VERTICES, CliInputError, _load_matrix,
-                            build_parser, main)
+from fermigraph import cli
+from fermigraph.cli import (ENTROPY_MAX_VERTICES, EXACT_MAX_VERTICES,
+                            CliInputError, _load_matrix, build_parser, main)
 from fermigraph.hadamard import HadamardMatrix, sylvester, verify
 
 
@@ -148,6 +149,32 @@ def test_entropy_rejects_out_of_range_cutoffs(pairs, capsys):
     assert code == 2
     assert err.startswith("error:")
     assert out == ""
+
+
+def test_entropy_refuses_orders_above_budget(capsys):
+    start = time.perf_counter()
+    code, out, err = run(["entropy", "--orders", "64,4096"], capsys)
+    assert time.perf_counter() - start < 5.0  # refused before order 64 is built
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "budget" in err
+
+
+@pytest.mark.parametrize("order, accepted", [(512, True), (1024, False)])
+def test_entropy_budget_boundary_is_order_512(order, accepted, capsys,
+                                              monkeypatch):
+    # stand-ins record the orders that would be built; no graph is built
+    built = []
+    monkeypatch.setattr(cli, "sylvester", lambda k: built.append(2**k))
+    monkeypatch.setattr(cli, "build_hadamard_graph", lambda h: h)
+    monkeypatch.setattr(cli, "entropy_sweep", lambda graphs, pairs: [])
+    assert 4 * 512 == ENTROPY_MAX_VERTICES
+    code, out, err = run(["entropy", "--orders", f"4,{order}"], capsys)
+    if accepted:
+        assert code == 0 and built == [4, order]
+    else:
+        assert code == 2 and built == [] and out == ""
+        assert err.startswith("error:") and "budget" in err
 
 
 def test_entropy_has_no_tol_option():

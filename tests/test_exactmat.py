@@ -13,12 +13,20 @@ from fermigraph.exactmat import (_FLOAT64_EXACT_LIMIT, DimensionMismatchError,
 from fermigraph.qroot import QRootN, RadicandMismatchError
 
 
-def random_exact(dim, radicand, rng, span=6):
+def random_exact(dim, radicand, rng, span=6, irrational=True):
     rows = [[QRootN(Fraction(rng.randint(-span, span), rng.randint(1, 4)),
-                    Fraction(rng.randint(-span, span), rng.randint(1, 4)),
+                    Fraction(rng.randint(-span, span), rng.randint(1, 4))
+                    if irrational else 0,
                     radicand)
              for _ in range(dim)] for _ in range(dim)]
     return ExactMatrix.from_scalars(rows, radicand)
+
+
+# {rational, sqrt(n)} x {rational, sqrt(n)}: every branch of the product rule
+OPERAND_FORMS = [
+    pytest.param(left, right, id=f"{'sqrt' if left else 'rational'}-"
+                                 f"{'sqrt' if right else 'rational'}")
+    for left in (False, True) for right in (False, True)]
 
 
 def entrywise_product(a, b):
@@ -56,10 +64,14 @@ def test_anticommutator_is_twice_square():
     assert anticommutator(m, m) == (m @ m).scale(2)
 
 
-def test_diagonal_fast_path_matches_generic():
+@pytest.mark.parametrize("diag_irrational, dense_irrational", OPERAND_FORMS)
+def test_diagonal_fast_path_matches_generic(diag_irrational, dense_irrational):
     rng = random.Random(3)
-    m = random_exact(6, 2, rng)
-    d = ExactMatrix.diagonal([QRootN(i, 1, 2) for i in range(6)], 2)
+    m = random_exact(6, 2, rng, irrational=dense_irrational)
+    d = ExactMatrix.diagonal([QRootN(i, int(diag_irrational), 2)
+                              for i in range(6)], 2)
+    assert (d.rb is None) != diag_irrational
+    assert (m.rb is None) != dense_irrational
     assert d @ m == entrywise_product(d, m)
     assert m @ d == entrywise_product(m, d)
 
@@ -78,14 +90,79 @@ def test_add_scale_transpose_trace():
     assert a.trace() == tr
 
 
-def test_schur_is_entrywise():
+@pytest.mark.parametrize("left_irrational, right_irrational", OPERAND_FORMS)
+def test_dense_product_forms(left_irrational, right_irrational):
+    rng = random.Random(6)
+    a = random_exact(5, 3, rng, irrational=left_irrational)
+    b = random_exact(5, 3, rng, irrational=right_irrational)
+    assert not a.is_diagonal() and not b.is_diagonal()
+    assert a @ b == entrywise_product(a, b)
+
+
+@pytest.mark.parametrize("left_irrational, right_irrational", OPERAND_FORMS)
+def test_schur_is_entrywise(left_irrational, right_irrational):
     rng = random.Random(5)
-    a = random_exact(3, 2, rng)
-    b = random_exact(3, 2, rng)
+    a = random_exact(3, 2, rng, irrational=left_irrational)
+    b = random_exact(3, 2, rng, irrational=right_irrational)
     s = a.schur(b)
     for i in range(3):
         for j in range(3):
             assert s.entry(i, j) == a.entry(i, j) * b.entry(i, j)
+
+
+# -- linear combinations -------------------------------------------------------
+
+@st.composite
+def combination_terms(draw, radicand):
+    """Up to four (coefficient, 3x3 matrix) pairs: zero, int, Fraction and
+    irrational QRootN coefficients on rational and sqrt(n) matrices with
+    mixed denominators."""
+    terms = []
+    for _ in range(draw(st.integers(0, 4))):
+        a = Fraction(draw(st.integers(-20, 20)), draw(st.integers(1, 12)))
+        b = Fraction(draw(st.integers(-20, 20)), draw(st.integers(1, 12)))
+        c = draw(st.sampled_from([0, QRootN(0, 0, radicand),
+                                  draw(st.integers(-5, 5)), a,
+                                  QRootN(a, b, radicand)]))
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        terms.append((c, random_exact(3, radicand, rng,
+                                      irrational=draw(st.booleans()))))
+    return terms
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([5, 9]), st.data())
+def test_combination_matches_scalar_sum(radicand, data):
+    terms = data.draw(combination_terms(radicand))
+    got = ExactMatrix.combination(terms, 3, radicand)
+    rows = [[sum((c * m.entry(i, j) for c, m in terms), QRootN(0, 0, radicand))
+             for j in range(3)] for i in range(3)]
+    want = ExactMatrix.from_scalars(rows, radicand)
+    for i in range(3):
+        for j in range(3):
+            assert got.entry(i, j) == rows[i][j]
+    # one normalization still gives the canonical form
+    assert got.den == want.den
+    assert_same_ints(got.ra, want.ra)
+    if want.rb is None:
+        assert got.rb is None
+    else:
+        assert_same_ints(got.rb, want.rb)
+
+
+def test_combination_edge_cases():
+    m = ExactMatrix.identity(3, 5)
+    for terms in ([], [(0, m), (QRootN(0, 0, 5), m), (Fraction(0), m)]):
+        z = ExactMatrix.combination(terms, 3, 5)
+        assert z.is_zero() and z.rb is None and z.den == 1
+        assert (z.dim, z.radicand) == (3, 5)
+    # every term is checked, zero coefficients included
+    with pytest.raises(DimensionMismatchError):
+        ExactMatrix.combination([(1, m), (0, ExactMatrix.identity(4, 5))], 3, 5)
+    with pytest.raises(RadicandMismatchError):
+        ExactMatrix.combination([(0, ExactMatrix.identity(3, 2))], 3, 5)
+    with pytest.raises(RadicandMismatchError):
+        ExactMatrix.combination([(QRootN(0, 0, 2), m)], 3, 5)
 
 
 def test_masking():
