@@ -9,11 +9,12 @@ von Neumann entropies.
 from .eig import (EigenSolveError, InvalidSpectrumError, NonSymmetricError,
                   Spectrum, cluster_spectrum, symmetric_eig)
 from .entangle import (ClosedFormComparison, CorrelationReport, EntropySweepRow,
-                       HeunOperator, ProjectorPair, UncoveredSpectrumError,
+                       HadamardSpectra, HeunOperator, ProjectorPair,
+                       UncoveredSpectrumError,
                        binary_entropy, chopped_correlation, closed_form_spectrum,
                        compare_with_claims, correlation_report, dual_correlation,
                        entanglement_hamiltonian, entropy, entropy_sweep,
-                       ground_state_correlation, hadamard_entropy_numeric,
+                       ground_state_correlation,
                        heun_expansion_energy, heun_expansion_neighbourhood,
                        heun_operator, projector_pair, spectrum_numeric)
 from .exactmat import (DimensionMismatchError, ExactMatrix, anticommutator,
@@ -24,8 +25,9 @@ from .graphs import (DisconnectedGraphError, HadamardGraph, SchemeGraph,
 from .hadamard import (CoreBlocks, HadamardMatrix, NotHadamardError,
                        core_blocks, normalize, paley, sylvester, verify)
 from .qroot import QRootN, RadicandMismatchError, sqrt_of
-from .scheme import (SchemeError, SchemeTables, build_scheme, eigenmatrices,
-                     hadamard_pq_matrix, intersection_array,
+from .scheme import (ModuleClass, SchemeError, SchemeTables, build_scheme,
+                     eigenmatrices, hadamard_intersection_array,
+                     hadamard_modules, hadamard_pq_matrix, intersection_array,
                      intersection_numbers, krein_parameters,
                      lagrange_idempotents, polynomial_checks)
 from .terwilliger import (TerwilligerBasis, TripleVanishingReport,

@@ -10,8 +10,10 @@ Subcommands
 The --k flag is the Sylvester exponent for gen/verify and the energy cutoff
 for spectrum/heun (those take the order through --n or --q).  verify,
 spectrum and heun work on exact N x N matrices, N = 4n, and refuse graphs
-above EXACT_MAX_VERTICES before building any of them; entropy refuses
-orders above ENTROPY_MAX_VERTICES the same way.  Exit codes: 0
+above EXACT_MAX_VERTICES before building any of them.  entropy builds no
+graph: its spectra come from the Terwilliger modules of the intersection
+array (see ``entangle.HadamardSpectra``), for Sylvester orders up to
+2^SYLVESTER_MAX_EXPONENT.  Exit codes: 0
 success, 2 input validation, 3 exact-identity failure, 4 numerical failure.
 Output is deterministic: fixed key order, fixed float formatting, no
 timestamps.
@@ -45,13 +47,8 @@ EXIT_NUMERIC = 4
 # verify, spectrum and heun build dense N x N matrices over Q(sqrt(n)).
 # verify takes about 35 s and 115 MB at order 128 (N = 512) on two x86-64
 # cores; each doubling of n costs about 8x the time (the products are
-# O(N^3)) and 4x the memory.  `entropy` has its own, larger budget.
+# O(N^3)) and 4x the memory.
 EXACT_MAX_VERTICES = 512
-# Size budget of `entropy`: its graph build still makes 4n x 4n object
-# distance matrices.  The default six pairs at order 512 (N = 2048) take
-# about 14 s and 475 MB peak RSS on two x86-64 cores; each doubling of n
-# costs about 4x the memory, so order 1024 would need about 2 GB.
-ENTROPY_MAX_VERTICES = 2048
 
 
 class CliInputError(ValueError):
@@ -218,12 +215,13 @@ def cmd_entropy(args) -> int:
             pairs.append((int(k), int(ell)))
     else:
         pairs = [(1, 1), (1, 2), (2, 2), (1, 3), (2, 3), (3, 3)]
+    cap = 2**SYLVESTER_MAX_EXPONENT
     for n in orders:
         if n <= 1 or 2**(n.bit_length() - 1) != n:
             raise CliInputError(f"sweep orders must be powers of two, got {n}")
-        _check_budget(n, ENTROPY_MAX_VERTICES, "of entropy")
-    graphs = [build_hadamard_graph(sylvester(n.bit_length() - 1)) for n in orders]
-    rows = entropy_sweep(graphs, pairs)
+        if n > cap:
+            raise CliInputError(f"order {n} is above the Sylvester cap {cap}")
+    rows = entropy_sweep(orders, pairs)
     lines = ["n,K,ell,S,S_per_n,S_4n_over_ln_n,limit,delta"]
     for r in rows:
         delta = "" if r.limit_delta is None else _fmt(r.limit_delta)

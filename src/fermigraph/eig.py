@@ -12,6 +12,7 @@ as LAPACK gives them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,8 +109,13 @@ def cluster_spectrum(values, tol: float = DEFAULT_CLUSTER_TOL,
     """Merge ascending eigenvalues into (value, multiplicity) clusters.
 
     Consecutive values within tol are merged; the representative is the
-    cluster mean.  tol <= 0 groups exactly equal values only.
+    cluster mean.  tol <= 0 groups exactly equal values only.  A NaN or
+    infinite tol is refused: inf would merge the whole spectrum, and NaN
+    would switch off merging and the trace check, since every comparison
+    with NaN is False.
     """
+    if not math.isfinite(tol):
+        raise ValueError(f"cluster tolerance must be finite, got {tol}")
     vals = [float(v) for v in values]
     if any(vals[i] > vals[i + 1] for i in range(len(vals) - 1)):
         raise ValueError("eigenvalues must be sorted ascending")

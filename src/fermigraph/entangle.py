@@ -28,7 +28,9 @@ flag disagreements instead of silently correcting either side.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,9 +38,9 @@ import numpy as np
 
 from .eig import (DEFAULT_CLUSTER_TOL, DEFAULT_EIG_TOL, InvalidSpectrumError,
                   Spectrum, cluster_spectrum, symmetric_eig)
-from .exactmat import ExactMatrix, commutator
+from .exactmat import ExactMatrix, _qprod, commutator
 from .qroot import QRootN
-from .scheme import SchemeTables, hadamard_pq_matrix
+from .scheme import ModuleClass, SchemeTables, hadamard_modules
 from .terwilliger import TerwilligerBasis
 
 ENTROPY_CONSTANT = 2.0 * math.log(2.0) - 0.75 * math.log(3.0)
@@ -389,36 +391,157 @@ def correlation_report(tables: SchemeTables, basis: TerwilligerBasis,
     )
 
 
-# -- float pipeline for large orders ---------------------------------------------
+# -- spectra by Terwilliger-module reduction -----------------------------------
 
-def hadamard_entropy_numeric(graph, K: int, ell: int,
-                             cluster_tol: float = DEFAULT_CLUSTER_TOL,
-                             ) -> tuple[float, Spectrum]:
-    """Entropy of Pi(K, ell) for a Hadamard graph, float path.
+def _interior_roots(s1: QRootN, s2: QRootN, count: int) -> list[float]:
+    """The ``count`` eigenvalues strictly inside (0, 1) of one module block,
+    from their exact power sums s1 = sum nu and s2 = sum nu^2.
 
-    Suitable for large orders: only the supported principal block of pi2(K)
-    is built, from E_j = (1/N) sum_i Q_ij A_i with the closed-form Q table,
-    and diagonalized; the remaining eigenvalues are exact zeros by support.
+    They are the roots of x - s1 (one) or of x^2 - s1 x + e2 with
+    e2 = (s1^2 - s2) / 2 (two).  Checked exactly: one root needs
+    s2 = s1^2, and neither 0 nor 1 may be a root, so the zeros and ones
+    counted by rank are all there are; the roots must also be real and lie
+    inside (0, 1).  Two roots are evaluated with the stable quadratic
+    formula: the larger as (s1 + sqrt(s1^2 - 4 e2)) / 2, a sum of two
+    positive terms, the smaller as e2 over the larger.
     """
-    d = graph.diameter
-    if not 0 <= K <= d or not 0 <= ell <= d:
-        raise ValueError(f"cutoffs must lie in [0, {d}]")
-    dist = graph.distance_matrices
-    support = np.zeros(graph.vertex_count, dtype=bool)
-    for s in range(ell + 1):
-        support |= dist[s].ra[0].astype(bool)
-    q = hadamard_pq_matrix(graph.order)
-    sub = np.ix_(support, support)
-    block = np.zeros((int(support.sum()),) * 2)
-    for i, a in enumerate(dist):
-        weight = float(sum(q[i][: K + 1], QRootN(0, 0, graph.order)))
-        block += weight * a.ra[sub].astype(float)
-    values, _ = symmetric_eig(block / graph.vertex_count)
-    padded = np.concatenate([np.zeros(graph.vertex_count - block.shape[0]),
-                             values])
-    padded.sort()
-    spec = cluster_spectrum(padded, tol=cluster_tol)
-    return entropy(spec), spec
+    if count == 0:
+        ok, roots = not s1 and not s2, []
+    elif count == 1:
+        ok, roots = s2 == s1 * s1 and s1 != 0 and s1 != 1, [float(s1)]
+    elif count == 2:
+        e2 = (s1 * s1 - s2) * Fraction(1, 2)
+        disc = float(s1 * s1 - e2 * 4)
+        big = (float(s1) + math.sqrt(max(disc, 0.0))) / 2
+        ok = bool(e2) and bool(1 - s1 + e2) and disc >= 0.0 and big > 0.0
+        roots = [big, float(e2) / big if disc else big] if ok else []
+    else:
+        raise InvalidSpectrumError(
+            f"{count} eigenvalues left inside (0, 1); a module block has at most 2")
+    if not ok or not all(0.0 < v < 1.0 for v in roots):
+        raise InvalidSpectrumError(
+            f"module block power sums {s1}, {s2} do not give {count} "
+            "eigenvalues inside (0, 1)")
+    return roots
+
+
+class _ModuleTraces:
+    """tr(B) and tr(B^2) of a module class's kept block B, exactly.
+
+    B is sum_(j<b) E_(r+j) restricted to the module's first ``a`` shells, in
+    the similarity form of ``ModuleClass``.  The table is held as integer
+    pairs (a, b) = a + b sqrt(n), and the norms as u_j = H / h_j with
+    H = lcm(h_j), once per order, so that
+
+        tr B   = (1/H)   sum_(j<b) u_j sum_(i<a) g_i X_ij^2,
+        tr B^2 = (1/H^2) sum_(i,i'<a) g_i g_i' (sum_(j<b) u_j X_ij X_i'j)^2
+
+    take integer products only and one division each.
+    """
+
+    def __init__(self, module: ModuleClass, n: int) -> None:
+        if any(v.a.denominator != 1 or v.b.denominator != 1
+               for row in module.table for v in row):
+            raise ValueError("module table is not in Z[sqrt(n)]")
+        self.n = n
+        self.endpoint, self.count = module.endpoint, module.count
+        self.dim = module.dimension
+        self.g = module.weights
+        self.x = [[(int(v.a), int(v.b)) for v in row] for row in module.table]
+        norms = [self._weighted(range(self.dim), [j], [1] * self.dim)
+                 for j in range(self.dim)]
+        if any(hb for _, hb in norms):
+            raise ValueError("module norms h_j are not rational")
+        self.h = math.lcm(*(ha for ha, _ in norms))
+        self.u = [self.h // ha for ha, _ in norms]
+
+    def _weighted(self, rows, cols, u) -> tuple[int, int]:
+        """sum_(i in rows, j in cols) g_i u_j X_ij^2 as an integer pair."""
+        ta = tb = 0
+        for i in rows:
+            for j in cols:
+                xa, xb = self.x[i][j]
+                sa, sb = _qprod(xa, xb, xa, xb, self.n, operator.mul)
+                ta += self.g[i] * u[j] * sa
+                tb += self.g[i] * u[j] * sb
+        return ta, tb
+
+    def traces(self, a: int, b: int) -> tuple[QRootN, QRootN]:
+        n, g, u, x = self.n, self.g, self.u, self.x
+        t1a, t1b = self._weighted(range(a), range(b), u)
+        t2a = t2b = 0
+        for i in range(a):
+            for k in range(a):
+                ya = yb = 0
+                for j in range(b):
+                    pa, pb = _qprod(*x[i][j], *x[k][j], n, operator.mul)
+                    ya += u[j] * pa
+                    yb += u[j] * pb
+                sa, sb = _qprod(ya, yb, ya, yb, n, operator.mul)
+                t2a += g[i] * g[k] * sa
+                t2b += g[i] * g[k] * sb
+        h, h2 = self.h, self.h * self.h
+        return (QRootN(Fraction(t1a, h), Fraction(t1b, h), n),
+                QRootN(Fraction(t2a, h2), Fraction(t2b, h2), n))
+
+
+class HadamardSpectra:
+    """Spectra of Pi(K, ell) for the order-n Hadamard graph from its
+    Terwilliger modules, with no graph and no N x N matrix.
+
+    Pi(K, ell) maps each irreducible T-module to itself.  On a module of
+    dimension D whose first a shells lie within distance ell and whose first
+    b eigenspaces are filled, it is pi1 pi2 pi1 with pi1 of rank a and pi2
+    of rank b.  The module is a Leonard system, so its shell flag and its
+    eigenspace flag are opposite: exactly max(0, a + b - D) eigenvalues are
+    1, and max(0, a - b) of the a kept ones are 0.  The at most two left are
+    roots of a monic polynomial over Q(sqrt(n)) from the exact tr(B) and
+    tr(B^2), minus the ones (see ``_interior_roots``).  Multiplicities are
+    module counts: exact integers, with no clustering tolerance.
+
+    The per-order data (module tables and norms) is prepared once; each
+    ``spectrum`` call checks exactly that the module traces, summed with
+    their counts, equal N_ell F_K / N.
+    """
+
+    def __init__(self, n: int) -> None:
+        modules = hadamard_modules(n)
+        primary = modules[0]
+        self.order = n
+        self.vertex_count = 4 * n
+        self.diameter = primary.dimension - 1
+        self._modules = [_ModuleTraces(m, n) for m in modules]
+        # N_ell from the valencies, F_K from the multiplicities m_j = Q_0j
+        self._shells = list(itertools.accumulate(primary.weights))
+        self._filled = list(itertools.accumulate(int(v.a) for v in primary.table[0]))
+
+    def spectrum(self, K: int, ell: int) -> Spectrum:
+        d = self.diameter
+        if not 0 <= K <= d or not 0 <= ell <= d:
+            raise ValueError(f"cutoffs must lie in [0, {d}]")
+        mults: dict[float, int] = {}
+        trace = QRootN(0, 0, self.order)
+        for mod in self._modules:
+            dim, r = mod.dim, mod.endpoint
+            a = min(max(ell - r + 1, 0), dim)
+            b = min(max(K - r + 1, 0), dim)
+            ones, kept_zeros = max(0, a + b - dim), max(0, a - b)
+            tr, tr2 = mod.traces(a, b)
+            trace = trace + tr * mod.count
+            values = ([0.0] * (dim - a + kept_zeros) + [1.0] * ones
+                      + _interior_roots(tr - ones, tr2 - ones,
+                                        a - ones - kept_zeros))
+            for v in values:
+                mults[v] = mults.get(v, 0) + mod.count
+        expected = Fraction(self._shells[ell] * self._filled[K], self.vertex_count)
+        if trace != expected:
+            raise InvalidSpectrumError(
+                f"module traces sum to {trace}, not N_ell F_K / N = {expected}")
+        if sum(mults.values()) != self.vertex_count:
+            raise InvalidSpectrumError("module dimensions do not add up to N")
+        entries = tuple(sorted(mults.items()))
+        check = abs(sum(v * m for v, m in entries) - float(expected))
+        return Spectrum(entries, cluster_tolerance=0.0, trace_check=check)
 
 
 @dataclass(frozen=True)
@@ -444,19 +567,19 @@ def _sweep_limit(K: int, ell: int, n: int, s: float) -> tuple[str, float | None]
     return "", None
 
 
-def entropy_sweep(graphs, pairs) -> list[EntropySweepRow]:
-    """Numerically computed entropies for each (graph order, K, ell) job,
-    with the relevant asymptotic comparison attached."""
+def entropy_sweep(orders, pairs) -> list[EntropySweepRow]:
+    """Entropies for each (Hadamard order, K, ell) job, with the relevant
+    asymptotic comparison attached; the module data is built once per order."""
     rows = []
-    for graph in graphs:
-        n = getattr(graph, "order", 0)
+    for n in orders:
+        spectra = HadamardSpectra(n)
         for K, ell in pairs:
-            s, _ = hadamard_entropy_numeric(graph, K, ell)
+            s = entropy(spectra.spectrum(K, ell))
             label, delta = _sweep_limit(K, ell, n, s)
             rows.append(EntropySweepRow(
                 order=n, energy_cut=K, neighbourhood_cut=ell, entropy=s,
                 entropy_per_order=s / n,
-                entropy_log_scaled=s * 4 * n / math.log(n) if n > 1 else float("nan"),
+                entropy_log_scaled=s * 4 * n / math.log(n),
                 limit_label=label, limit_delta=delta,
             ))
     return rows

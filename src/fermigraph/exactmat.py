@@ -250,9 +250,15 @@ class ExactMatrix:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        if self.dim != other.dim or self.radicand != other.radicand:
+        # the canonical form (den > 0, gcd 1, rb dropped when it vanishes)
+        # is unique, so equal matrices have equal parts
+        if (self.dim, self.radicand, self.den) != (other.dim, other.radicand,
+                                                   other.den):
             return False
-        return (self - other).is_zero()
+        if (self.rb is None) != (other.rb is None):
+            return False
+        return (np.array_equal(self.ra, other.ra)
+                and (self.rb is None or np.array_equal(self.rb, other.rb)))
 
     def __hash__(self) -> int:  # matrices are mutable-looking containers
         raise TypeError("ExactMatrix is unhashable")

@@ -16,6 +16,7 @@ normalization that makes p = q for self-dual schemes.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -327,6 +328,14 @@ def build_scheme(graph: SchemeGraph) -> SchemeTables:
     )
 
 
+def hadamard_intersection_array(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """{b_0..b_3; c_1..c_4} = {n, n-1, n/2, 1; 1, n/2, n-1, n} of the order-n
+    Hadamard graph (n even, so that the graph has diameter 4)."""
+    if n < 2 or n % 2:
+        raise ValueError(f"Hadamard order must be even and at least 2, got {n}")
+    return (n, n - 1, n // 2, 1), (1, n // 2, n - 1, n)
+
+
 def hadamard_pq_matrix(n: int) -> list[list[QRootN]]:
     """The shared 5x5 eigenmatrix of the order-n Hadamard graph scheme."""
     sq = QRootN(0, 1, n)
@@ -339,3 +348,97 @@ def hadamard_pq_matrix(n: int) -> list[list[QRootN]]:
         [one, -sq, z, sq, -one],
         [one, QRootN(-n, 0, n), QRootN(2 * n - 2, 0, n), QRootN(-n, 0, n), one],
     ]
+
+
+# -- Terwilliger modules of the Hadamard graph ----------------------------------
+
+@dataclass(frozen=True)
+class ModuleClass:
+    """One isomorphism class of irreducible T-modules in the standard module.
+
+    T is the subconstituent algebra of a base vertex.  A module of the
+    Hadamard graph with endpoint r and dimension D meets each shell
+    E*_r V .. E*_(r+D-1) V and each eigenspace E_r V .. E_(r+D-1) V in one
+    dimension.  In the basis u_i = sqrt(g[i]) (unit vector of the module in
+    shell r+i) the eigenspace projectors act as
+
+        (E_(r+j))[i][i'] = X[i][j] X[i'][j] g[i'] / h[j],
+        h[j] = sum_i g[i] X[i][j]^2,
+
+    with X = ``table`` and g = ``weights``: a similarity form of the
+    symmetric blocks whose entries stay in Q(sqrt(n)).  The shell projectors
+    are diagonal in that basis, so every product of shell and eigenspace
+    projectors is similar to the symmetric one.
+    """
+
+    endpoint: int                            # r: first shell and first eigenspace
+    count: int                               # copies in the standard module
+    table: tuple[tuple[QRootN, ...], ...]    # X[i][j]: shell r+i, eigenspace r+j
+    weights: tuple[int, ...]                 # g[i] > 0
+
+    @property
+    def dimension(self) -> int:
+        return len(self.weights)
+
+
+def _tridiagonal_module(endpoint: int, count: int, products: tuple[int, ...],
+                        thetas: list[QRootN]) -> ModuleClass:
+    """The module on which A is tridiagonal with zero diagonal (the graph is
+    bipartite), off-diagonal products beta_1..beta_(D-1) and eigenvalues
+    ``thetas``.
+
+    The eigenvector for theta has coordinates p_i(theta) / sqrt(beta_1..beta_i)
+    on the unit shell vectors, with p_0 = 1, p_1 = x and
+    p_(i+1) = x p_i - beta_i p_(i-1); so X[i][j] = p_i(theta_j) and
+    g[i] = beta_(i+1)..beta_(D-1), which is 1 / (beta_1..beta_i) up to a
+    common factor.  p_D(theta) = 0 is checked exactly for every theta.
+    """
+    dim = len(products) + 1
+    table = [[None] * dim for _ in range(dim)]
+    for j, theta in enumerate(thetas):
+        prev, cur = 0, QRootN(1, 0, theta.n)
+        for i in range(dim):
+            table[i][j] = cur
+            prev, cur = cur, theta * cur - (products[i - 1] * prev if i else 0)
+        if cur:
+            raise SchemeError(f"theta_{endpoint + j} = {theta} is not an "
+                              f"eigenvalue of the endpoint-{endpoint} module")
+    weights = tuple(math.prod(products[i:]) for i in range(dim))
+    return ModuleClass(endpoint=endpoint, count=count,
+                       table=tuple(map(tuple, table)), weights=weights)
+
+
+def hadamard_modules(n: int) -> tuple[ModuleClass, ...]:
+    """The three module classes of the order-n Hadamard graph, from its
+    intersection array and eigenmatrix alone (no graph is built).
+
+    - The primary module (endpoint 0, dimension 5, one copy) is spanned by
+      the shell sums A_i x; there X = Q and g = the valencies k_i, so
+      h[j] = N m_j.
+    - Endpoint 1 (dimension 3, k_1 - 1 copies): for v in E*_1 V orthogonal
+      to 1, two vertices of shell 1 share c_2 - 1 neighbours in shell 2, so
+      E*_1 A E*_2 A v = (b_1 - c_2 + 1) v = beta_1 v.  The module's
+      eigenvalues are theta_1, theta_2 = 0 and theta_3 = -theta_1, and a
+      3x3 tridiagonal matrix with zero diagonal has eigenvalues 0 and
+      +-sqrt(beta_1 + beta_2), so beta_2 = theta_1^2 - beta_1.
+    - Endpoint 2 (dimension 1, k_2 - k_1 copies): the null vectors of A in
+      shell 2, eigenvalue theta_2 = 0.
+
+    Their dimensions times their counts add up to N = 4n.
+    """
+    b, c = hadamard_intersection_array(n)
+    q = hadamard_pq_matrix(n)
+    thetas = [q[j][1] for j in range(5)]      # P = Q: theta_j = P_j1 = Q_j1
+    valencies = [1]
+    for i in range(4):
+        valencies.append(valencies[-1] * b[i] // c[i])
+    beta1 = b[1] - c[1] + 1
+    beta2 = thetas[1] * thetas[1] - beta1
+    if not beta2.is_rational() or beta2.a.denominator != 1:
+        raise SchemeError(f"endpoint-1 product beta_2 = {beta2} is not an integer")
+    primary = ModuleClass(endpoint=0, count=1, table=tuple(map(tuple, q)),
+                          weights=tuple(valencies))
+    return (primary,
+            _tridiagonal_module(1, valencies[1] - 1, (beta1, int(beta2.a)),
+                                thetas[1:4]),
+            _tridiagonal_module(2, valencies[2] - valencies[1], (), thetas[2:3]))

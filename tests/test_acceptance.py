@@ -13,11 +13,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fermigraph import (ExactMatrix, QRootN, binary_entropy,
+from fermigraph import (ExactMatrix, HadamardSpectra, QRootN, binary_entropy,
                         build_hadamard_graph, build_scheme, chopped_correlation,
                         closed_form_spectrum, compare_with_claims,
-                        correlation_report, dual_correlation,
-                        hadamard_entropy_numeric, heun_operator, paley,
+                        correlation_report, dual_correlation, entropy,
+                        heun_operator, paley,
                         projector_pair, spectrum_numeric, sylvester,
                         terwilliger_basis)
 from fermigraph.eig import symmetric_eig
@@ -221,10 +221,10 @@ def test_criterion_7_cospectrality(n):
 @pytest.fixture(scope="module")
 def order_256_entropies():
     start = time.monotonic()
-    graph = build_hadamard_graph(sylvester(8))
+    spectra = HadamardSpectra(256)
     values = {}
     for K, ell in [(1, 1), (1, 2), (2, 2), (1, 3), (3, 3)]:
-        values[(K, ell)], _ = hadamard_entropy_numeric(graph, K, ell)
+        values[(K, ell)] = entropy(spectra.spectrum(K, ell))
     return values, time.monotonic() - start
 
 

@@ -3,10 +3,10 @@ import time
 
 import pytest
 
-from fermigraph import cli
-from fermigraph.cli import (ENTROPY_MAX_VERTICES, EXACT_MAX_VERTICES,
-                            CliInputError, _load_matrix, build_parser, main)
-from fermigraph.hadamard import HadamardMatrix, sylvester, verify
+from fermigraph.cli import (EXACT_MAX_VERTICES, CliInputError, _load_matrix,
+                            build_parser, main)
+from fermigraph.hadamard import (SYLVESTER_MAX_EXPONENT, HadamardMatrix,
+                                 sylvester, verify)
 
 
 def run(args, capsys):
@@ -151,30 +151,22 @@ def test_entropy_rejects_out_of_range_cutoffs(pairs, capsys):
     assert out == ""
 
 
-def test_entropy_refuses_orders_above_budget(capsys):
+def test_entropy_runs_at_the_sylvester_cap(capsys):
     start = time.perf_counter()
-    code, out, err = run(["entropy", "--orders", "64,4096"], capsys)
-    assert time.perf_counter() - start < 5.0  # refused before order 64 is built
+    code, out, err = run(["entropy", "--orders", "4096"], capsys)
+    assert time.perf_counter() - start < 1.0  # no graph is built
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert len(lines) == 7
+    assert all(line.startswith("4096,") for line in lines[1:])
+
+
+def test_entropy_refuses_orders_above_the_sylvester_cap(capsys):
+    assert 2**SYLVESTER_MAX_EXPONENT == 4096
+    code, out, err = run(["entropy", "--orders", "64,8192"], capsys)
     assert code == 2
     assert out == ""
-    assert err.startswith("error:") and "budget" in err
-
-
-@pytest.mark.parametrize("order, accepted", [(512, True), (1024, False)])
-def test_entropy_budget_boundary_is_order_512(order, accepted, capsys,
-                                              monkeypatch):
-    # stand-ins record the orders that would be built; no graph is built
-    built = []
-    monkeypatch.setattr(cli, "sylvester", lambda k: built.append(2**k))
-    monkeypatch.setattr(cli, "build_hadamard_graph", lambda h: h)
-    monkeypatch.setattr(cli, "entropy_sweep", lambda graphs, pairs: [])
-    assert 4 * 512 == ENTROPY_MAX_VERTICES
-    code, out, err = run(["entropy", "--orders", f"4,{order}"], capsys)
-    if accepted:
-        assert code == 0 and built == [4, order]
-    else:
-        assert code == 2 and built == [] and out == ""
-        assert err.startswith("error:") and "budget" in err
+    assert err.startswith("error:") and "Sylvester cap 4096" in err
 
 
 def test_entropy_has_no_tol_option():
@@ -199,6 +191,17 @@ def test_spectrum_from_paley_order(capsys):
     assert data["n"] == 12 and data["trace_exact"] == "2209/48"
     mults = [e["mult"] for e in data["spectrum"]]
     assert mults == [1, 1, 46]
+
+
+@pytest.mark.parametrize("tol", ["inf", "-inf", "nan"])
+def test_spectrum_refuses_non_finite_cluster_tolerance(tol, capsys):
+    # inf would merge all 32 eigenvalues into one; nan would switch off
+    # clustering and the trace check
+    code, out, err = run(["spectrum", "--n", "8", "--k", "2", "--ell", "2",
+                          "--format", "csv", f"--tol={tol}"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "finite" in err
 
 
 def test_spectrum_requires_order(capsys):

@@ -78,6 +78,12 @@ def test_cluster_examples():
         cluster_spectrum([1.0, 0.5])
 
 
+@pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan])
+def test_cluster_refuses_non_finite_tol(tol):
+    with pytest.raises(ValueError, match="finite"):
+        cluster_spectrum([0.0, 0.5, 1.0], tol=tol)
+
+
 def test_cluster_exact_grouping_for_nonpositive_tol():
     spec = cluster_spectrum([0.0, 0.0, 0.5, 0.5 + 1e-12], tol=0.0)
     assert spec.multiplicities == [2, 1, 1]

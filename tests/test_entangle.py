@@ -4,12 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fermigraph import (ExactMatrix, QRootN, binary_entropy,
+from fermigraph import (ExactMatrix, HadamardSpectra, QRootN, binary_entropy,
                         chopped_correlation, closed_form_spectrum,
                         compare_with_claims, correlation_report,
                         dual_correlation, entanglement_hamiltonian, entropy,
                         entropy_sweep, ground_state_correlation,
-                        hadamard_entropy_numeric, heun_expansion_energy,
+                        heun_expansion_energy,
                         heun_expansion_neighbourhood, heun_operator,
                         projector_pair, spectrum_numeric)
 from fermigraph.eig import InvalidSpectrumError, Spectrum
@@ -299,37 +299,37 @@ def test_correlation_report_payload(had4):
 
 @pytest.mark.parametrize("family, size", [("sylvester", 4), ("paley", 11)])
 def test_float_path_matches_exact_path(family, size):
-    """The float path builds pi2(K) from the closed-form Q table; Paley
-    q = 11 (order 12) checks it on an irrational radicand, sqrt(12)."""
+    """The module path works from the order alone; Paley q = 11 (order 12)
+    checks it on an irrational radicand, sqrt(12), against the dense solve
+    of the exact Pi(K, ell) of the built graph."""
     context = hadamard_context if family == "sylvester" else paley_context
     graph, tables, basis = context(size)
+    spectra = HadamardSpectra(graph.order)
     for K, ell in [(1, 1), (2, 2), (3, 3), (1, 3)]:
-        s_exact = entropy(spectrum_numeric(
-            chopped_correlation(tables, basis, K, ell)))
-        s_float, spec = hadamard_entropy_numeric(graph, K, ell)
-        assert math.isclose(s_float, s_exact, abs_tol=1e-9)
+        exact_spec = spectrum_numeric(chopped_correlation(tables, basis, K, ell))
+        spec = spectra.spectrum(K, ell)
+        assert math.isclose(entropy(spec), entropy(exact_spec), abs_tol=1e-9)
         assert spec.total() == graph.vertex_count
+        assert spec.multiplicities == exact_spec.multiplicities
 
 
 def test_sweep_matches_binary_entropy_oracle():
     """S(1,3) carries a single partially filled mode at (3n-1)/(4n), so the
     sweep column must equal the binary entropy of that value; the (3,3)
     log-scaled column must decrease toward 1."""
-    from fermigraph import build_hadamard_graph, sylvester
-    graphs = [build_hadamard_graph(sylvester(k)) for k in (2, 4, 6)]
-    rows13 = entropy_sweep(graphs, [(1, 3)])
+    orders = [4, 16, 64]
+    rows13 = entropy_sweep(orders, [(1, 3)])
     for row in rows13:
         n = row.order
         assert math.isclose(row.entropy, binary_entropy((3 * n - 1) / (4 * n)),
                             abs_tol=1e-9)
-    rows33 = entropy_sweep(graphs, [(3, 3)])
+    rows33 = entropy_sweep(orders, [(3, 3)])
     scaled = [r.entropy_log_scaled for r in rows33]
     assert scaled[0] > scaled[1] > scaled[2] > 1.0
 
 
-def test_entropy_sweep_rows(had4):
-    graph, _, _ = had4
-    rows = entropy_sweep([graph], [(1, 3), (3, 3), (2, 2), (0, 1)])
+def test_entropy_sweep_rows():
+    rows = entropy_sweep([4], [(1, 3), (3, 3), (2, 2), (0, 1)])
     assert [r.neighbourhood_cut for r in rows] == [3, 3, 2, 1]
     by_pair = {(r.energy_cut, r.neighbourhood_cut): r for r in rows}
     assert math.isclose(by_pair[(1, 3)].entropy, binary_entropy(11 / 16),

@@ -329,3 +329,46 @@ def test_normalize_matches_python_gcd(dim, data, factor, den, unit_den, with_rb)
         assert m.rb is None
     else:
         assert_same_ints(m.rb, want_rb)
+
+
+small_arrays = st.integers(1, 3).flatmap(lambda dim: st.tuples(
+    st.just(dim),
+    *[st.lists(st.integers(-3, 3), min_size=dim * dim, max_size=dim * dim)
+      for _ in range(4)]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_arrays, st.sampled_from([5, 9, 4]),
+       st.sampled_from([1, -1, 2, -2, 6]), st.sampled_from([1, -1, 3, -4]),
+       st.sampled_from([1, -1, 2, -6]), st.sampled_from(["other", "same", "fold", "zero"]))
+def test_eq_agrees_with_zero_difference(arrays, radicand, den, scale_a, scale_b,
+                                        kind):
+    """``==`` compares canonical parts; it must agree with (a - b).is_zero()
+    on inputs that reach the constructor in non-canonical form: a scaled or
+    negative denominator, a perfect-square radicand carrying a sqrt part,
+    and zero matrices with any denominator."""
+    dim, *flat = arrays
+    ra, rb, other_ra, other_rb = (np.array(f, dtype=object).reshape(dim, dim)
+                                  for f in flat)
+    if kind == "same":          # the same matrix, scaled differently
+        other_ra, other_rb, other_den = ra, rb, den
+    elif kind == "fold":        # sqrt part folded by hand where sqrt is an integer
+        root = math.isqrt(radicand)
+        if root * root == radicand:
+            other_ra, other_rb = ra + rb * root, None
+        other_den = den
+    elif kind == "zero":
+        ra = rb = other_ra = other_rb = np.zeros((dim, dim), dtype=object)
+        other_den = 3 * den
+    else:
+        other_den = den
+    a = ExactMatrix(dim, radicand, ra * scale_a, rb * scale_a, den * scale_a)
+    b = ExactMatrix(dim, radicand,
+                    other_ra * scale_b,
+                    None if other_rb is None else other_rb * scale_b,
+                    other_den * scale_b)
+    assert (a == b) == (a - b).is_zero()
+    assert (b == a) == (a == b)
+    if kind in ("same", "zero"):
+        assert a == b
+    assert not a == ExactMatrix(dim + 1, radicand, np.zeros((dim + 1,) * 2))
