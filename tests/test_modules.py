@@ -9,6 +9,7 @@
 - the entropies against a 50-digit mpmath evaluation of the module blocks.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -246,8 +247,7 @@ def test_module_data_is_checked_exactly(monkeypatch):
     # a wrong module count breaks the trace identity N_ell F_K / N, or the
     # dimension count where the module's trace vanishes
     primary, end1, end2 = hadamard_modules(16)
-    wrong = type(end2)(endpoint=2, count=end2.count + 1, table=end2.table,
-                       weights=end2.weights)
+    wrong = dataclasses.replace(end2, count=end2.count + 1)
     monkeypatch.setattr("fermigraph.entangle.hadamard_modules",
                         lambda n: (primary, end1, wrong))
     spectra = HadamardSpectra(16)
