@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from fermigraph import cli
 from fermigraph.cli import (EXACT_MAX_VERTICES, CliInputError, _load_matrix,
                             build_parser, main)
 from fermigraph.hadamard import (SYLVESTER_MAX_EXPONENT, HadamardMatrix,
@@ -161,12 +162,30 @@ def test_entropy_runs_at_the_sylvester_cap(capsys):
     assert all(line.startswith("4096,") for line in lines[1:])
 
 
-def test_entropy_refuses_orders_above_the_sylvester_cap(capsys):
+def test_entropy_refuses_orders_above_budget(capsys):
+    # the order budget of entropy is the Sylvester cap 4096
     assert 2**SYLVESTER_MAX_EXPONENT == 4096
+    start = time.perf_counter()
     code, out, err = run(["entropy", "--orders", "64,8192"], capsys)
+    assert time.perf_counter() - start < 5.0  # refused before order 64 is run
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "Sylvester cap 4096" in err
+
+
+@pytest.mark.parametrize("order, within_old_budget",
+                         [(512, True), (1024, False)])
+def test_entropy_budget_boundary_is_order_512(order, within_old_budget,
+                                              capsys, monkeypatch):
+    # entropy once built the graph and held orders to 512 (2048 vertices);
+    # it builds no graph now, so orders on both sides of 512 run
+    monkeypatch.setattr(cli, "build_hadamard_graph", None)
+    assert (order <= 512) == within_old_budget
+    code, out, err = run(["entropy", "--orders", f"4,{order}"], capsys)
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert len(lines) == 13
+    assert all(line.startswith(f"{order},") for line in lines[7:])
 
 
 def test_entropy_has_no_tol_option():
