@@ -45,9 +45,9 @@ EXIT_NUMERIC = 4
 
 # Size budget of the exact path: the largest vertex count N = 4n for which
 # verify, spectrum and heun build dense N x N matrices over Q(sqrt(n)).
-# verify takes about 35 s and 115 MB at order 128 (N = 512) on two x86-64
-# cores; each doubling of n costs about 8x the time (the products are
-# O(N^3)) and 4x the memory.
+# verify takes about 8.4 s and 114 MB at order 128 (N = 512) and 1.6 s and
+# 51 MB at order 64 on two x86-64 cores; each doubling of n costs about 5x
+# the time (the scheme build's products are O(N^3)) and 2x the memory.
 EXACT_MAX_VERTICES = 512
 
 

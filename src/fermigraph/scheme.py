@@ -185,8 +185,11 @@ def eigenmatrices(distance: list[ExactMatrix], idempotents: list[ExactMatrix],
     pmat = [[None] * (d + 1) for _ in range(d + 1)]
     for i in range(d + 1):
         for j in range(d + 1):
-            # P_ij f_i = trace(A_j E_i)
-            tr = (distance[j] @ idempotents[i]).trace()
+            # P_ij f_i = trace(A_j E_i), the entry sum of A_j o E_i^T
+            s = distance[j].schur(idempotents[i].T)
+            tr = QRootN(Fraction(int(s.ra.sum()), s.den),
+                        Fraction(0 if s.rb is None else int(s.rb.sum()), s.den),
+                        n)
             pmat[i][j] = tr * Fraction(1, multiplicities[i])
     qmat = [[None] * (d + 1) for _ in range(d + 1)]
     for j in range(d + 1):

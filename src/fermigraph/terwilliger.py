@@ -9,9 +9,14 @@ All checks in this module are exact.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .exactmat import ExactMatrix
+import numpy as np
+
+from .exactmat import ExactMatrix, _int_dot, _qprod
 from .qroot import QRootN
 from .scheme import SchemeError, SchemeTables
 
@@ -35,24 +40,24 @@ class TerwilligerBasis:
         return [int(e.trace().a) for e in self.dual_idempotents]
 
 
+def _row_diagonal(m: ExactMatrix, row: int, factor: int = 1) -> ExactMatrix:
+    """The diagonal matrix whose diagonal is ``factor`` times row ``row`` of
+    ``m``, read off m's integer arrays."""
+    rb = None if m.rb is None else np.diag(m.rb[row] * factor)
+    return ExactMatrix(m.dim, m.radicand, np.diag(m.ra[row] * factor), rb,
+                       m.den)
+
+
 def dual_idempotents(base_vertex: int,
                      distance: list[ExactMatrix]) -> list[ExactMatrix]:
     """E*_i(x): diagonal 0/1 with (E*_i)_yy = (A_i)_xy."""
-    out = []
-    for a in distance:
-        row = [a.entry(base_vertex, y) for y in range(a.dim)]
-        out.append(ExactMatrix.diagonal(row, a.radicand))
-    return out
+    return [_row_diagonal(a, base_vertex) for a in distance]
 
 
 def dual_distance(base_vertex: int, idempotents: list[ExactMatrix],
                   vertex_count: int) -> list[ExactMatrix]:
     """A*_i(x): diagonal with (A*_i)_yy = N (E_i)_xy."""
-    out = []
-    for e in idempotents:
-        row = [e.entry(base_vertex, y) * vertex_count for y in range(e.dim)]
-        out.append(ExactMatrix.diagonal(row, e.radicand))
-    return out
+    return [_row_diagonal(e, base_vertex, vertex_count) for e in idempotents]
 
 
 def terwilliger_basis(tables: SchemeTables, base_vertex: int = 0) -> TerwilligerBasis:
@@ -103,25 +108,94 @@ class TripleVanishingReport:
         return not self.violations
 
 
+def _diagonal_parts(m: ExactMatrix, name: str):
+    """The diagonal of a diagonal matrix as its integer arrays (a, b, den);
+    ``b`` is None when the sqrt(n) part vanishes."""
+    if not m.is_diagonal():
+        raise SchemeError(f"{name} is not diagonal")
+    return (m.ra.diagonal(), None if m.rb is None else m.rb.diagonal(), m.den)
+
+
 def triple_vanishing_check(basis: TerwilligerBasis) -> TripleVanishingReport:
     """E*_i A_j E*_k = 0 iff p_ij^k = 0, and E_i A*_j E_k = 0 iff q_ij^k = 0,
-    for every triple (i, j, k).  Violations are collected, not raised."""
+    for every triple (i, j, k).  Violations are collected, not raised.
+
+    Both families are checked exactly and without any N x N product.
+
+    E*_i A_j E*_k is the block of A_j with rows in shell i and columns in
+    shell k, the supports of the diagonals of E*_i and E*_k (a product of
+    nonzero field elements is nonzero), so it vanishes iff that block does.
+
+    E_i A*_j E_k is checked through its squared Frobenius norm.  With
+    a = diag(A*_j) and E_i, E_k symmetric idempotents (``build_scheme``
+    verifies both),
+
+        ||E_i A*_j E_k||^2 = tr(E_k A*_j E_i E_i A*_j E_k)
+                           = tr(A*_j E_i A*_j E_k)
+                           = sum_yz a_y (E_i)_yz a_z (E_k)_zy
+                           = a^T (E_i o E_k) a.
+
+    Since a = N E_j e_x for the base vertex x, E_i o E_k =
+    (1/N) sum_l q_ik^l E_l and (E_j)_xx = m_j / N, the squared norm is
+
+        N sum_l q_ik^l e_x^T E_j E_l E_j e_x = q_ik^j N (E_j)_xx = q_ik^j m_j.
+
+    A triple is a violation when the squared norm differs from q_ik^j m_j,
+    or when it vanishes and q_ij^k does not, or the other way round.  It is
+    zero iff E_i A*_j E_k is, so the second test is the zero test of the
+    product itself.  Each unordered pair (i, k) costs one Schur product and
+    one N x (d+1) integer product.
+    """
     t = basis.tables
     d = t.diameter
+    n = t.radicand
     violations: list[tuple[str, int, int, int]] = []
-    checked = 0
-    families = (("EsAEs", basis.dual_idempotents, t.distance, t.p_numbers),
-                ("EAsE", t.idempotents, basis.dual_distance, t.krein))
-    for label, outer, middle, table in families:
-        for i in range(d + 1):
-            for j in range(d + 1):
-                sandwich_left = outer[i] @ middle[j]
-                for k in range(d + 1):
-                    triple = sandwich_left @ outer[k]
-                    if triple.is_zero() != (not table[i][j][k]):
-                        violations.append((label, i, j, k))
-                    checked += 1
-    return TripleVanishingReport(checked=checked, violations=tuple(violations))
+
+    shells = []
+    for i, e in enumerate(basis.dual_idempotents):
+        ea, eb, _ = _diagonal_parts(e, f"E*_{i}")
+        shells.append(np.flatnonzero((ea != 0) | (eb is not None and eb != 0)))
+    for i in range(d + 1):
+        for j, a in enumerate(t.distance):
+            rows = a.ra[shells[i]] != 0
+            if a.rb is not None:
+                rows |= a.rb[shells[i]] != 0
+            for k in range(d + 1):
+                if rows[:, shells[k]].any() != bool(t.p_numbers[i][j][k]):
+                    violations.append(("EsAEs", i, j, k))
+
+    # the diagonals a_j of A*_j as the columns of N x (d+1) integer arrays
+    # over one denominator
+    parts = [_diagonal_parts(m, f"A*_{j}")
+             for j, m in enumerate(basis.dual_distance)]
+    den = math.lcm(*(p[2] for p in parts))
+    cols_a = np.stack([pa * (den // pd) for pa, _, pd in parts], axis=1)
+    cols_b = None
+    if any(pb is not None for _, pb, _ in parts):
+        cols_b = np.stack([np.zeros_like(pa) if pb is None else pb * (den // pd)
+                           for pa, pb, pd in parts], axis=1)
+    norms = {}
+    for i in range(d + 1):
+        for k in range(i, d + 1):
+            s = t.idempotents[i].schur(t.idempotents[k])
+            sa, sb = _qprod(s.ra, s.rb, cols_a, cols_b, n, _int_dot)
+            qa, qb = _qprod(cols_a, cols_b, sa, sb, n, operator.mul)
+            norm_den = s.den * den * den
+            qa = qa.sum(axis=0)
+            qb = None if qb is None else qb.sum(axis=0)
+            norms[i, k] = norms[k, i] = [
+                QRootN(Fraction(int(qa[j]), norm_den),
+                       Fraction(0 if qb is None else int(qb[j]), norm_den), n)
+                for j in range(d + 1)]
+    for i in range(d + 1):
+        for j in range(d + 1):
+            for k in range(d + 1):
+                norm = norms[i, k][j]
+                if (norm != t.krein[i][k][j] * t.multiplicities[j]
+                        or bool(norm) != bool(t.krein[i][j][k])):
+                    violations.append(("EAsE", i, j, k))
+    return TripleVanishingReport(checked=2 * (d + 1) ** 3,
+                                 violations=tuple(violations))
 
 
 def block_tridiagonal_decompose(m: ExactMatrix,

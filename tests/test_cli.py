@@ -59,6 +59,29 @@ def test_verify_order_two(capsys):
     assert "intersection_array: {2, 1, 1, 1; 1, 1, 1, 2}" in out
 
 
+VERIFY_REPORT = """\
+hadamard_product_identity: pass (max deviation 0)
+scheme_axioms: pass (bases, structure constants, reconstructions)
+intersection_array: {{{n}, {n_1}, {half}, 1; 1, {half}, {n_1}, {n}}}
+metric: pass
+cometric: pass
+formally_self_dual: pass
+dual_product_identity: pass
+triple_vanishing: pass (250 triples, 0 violations)
+cubic_relations: pass
+"""
+
+
+@pytest.mark.parametrize("source, order", [
+    *((["--n", str(n)], n) for n in (2, 4, 8, 16, 32)),
+    (["--q", "11"], 12),
+])
+def test_verify_report_bytes(source, order, capsys):
+    code, out, err = run(["verify", *source], capsys)
+    assert code == 0 and err == ""
+    assert out == VERIFY_REPORT.format(n=order, n_1=order - 1, half=order // 2)
+
+
 def test_verify_corrupted_file_exits_three(capsys, tmp_path):
     h = sylvester(2)
     rows = h.entries.tolist()
@@ -226,6 +249,22 @@ def test_spectrum_refuses_non_finite_cluster_tolerance(tol, capsys):
 def test_spectrum_requires_order(capsys):
     code, _, _ = run(["spectrum", "--k", "1", "--ell", "1"], capsys)
     assert code == 2
+
+
+def test_main_runs_twice_with_different_subcommands(capsys):
+    csv_argv = ["spectrum", "--k", "2", "--ell", "2", "--n", "4",
+                "--format", "csv"]
+    code, first, _ = run(csv_argv, capsys)
+    assert code == 0 and first.startswith("value,mult")
+    code, out, _ = run(["verify", "--n", "2"], capsys)
+    assert code == 0
+    assert out == VERIFY_REPORT.format(n=2, n_1=1, half=1)
+    # no option of an earlier call carries over: json is the default format
+    code, out, _ = run(["spectrum", "--k", "2", "--ell", "2", "--n", "4"],
+                       capsys)
+    assert code == 0 and json.loads(out)["trace_exact"] == "121/16"
+    code, again, _ = run(csv_argv, capsys)
+    assert code == 0 and again == first
 
 
 def test_verify_order_sixty_four_passes(capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from fermigraph import ExactMatrix, QRootN
 from fermigraph.qroot import sqrt_of
-from fermigraph.scheme import (SchemeError, hadamard_pq_matrix,
+from fermigraph.scheme import (SchemeError, eigenmatrices, hadamard_pq_matrix,
                                intersection_array, lagrange_idempotents,
                                polynomial_checks)
 from tests.conftest import hadamard_context, hypercube_context, paley_context
@@ -84,6 +84,17 @@ def test_eigenmatrices_match_closed_form(n):
     for i in range(d + 1):
         assert tables.eigenmatrix_p[i][0] == QRootN(1, 0, n)
         assert tables.theta(i) == thetas[i]
+
+
+def test_eigenmatrices_form_no_matrix_product(monkeypatch):
+    _, tables, _ = paley_context(11)
+
+    def forbidden(a, b):
+        raise AssertionError("an N x N product was formed")
+    monkeypatch.setattr(ExactMatrix, "__matmul__", forbidden)
+    pmat, qmat = eigenmatrices(list(tables.distance), list(tables.idempotents),
+                               list(tables.multiplicities))
+    assert pmat == qmat == hadamard_pq_matrix(12)
 
 
 def test_pq_product_is_scaled_identity(had4):

@@ -13,6 +13,10 @@ from fermigraph.terwilliger import (block_tridiagonal_decompose,
                                     triple_vanishing_check,
                                     verify_dual_products)
 from tests.conftest import hadamard_context, hypercube_context, paley_context
+from tests.triple_reference import dense_triple_violations
+
+_CONTEXTS = {"sylvester": hadamard_context, "paley": paley_context,
+             "hypercube": hypercube_context}
 
 
 @pytest.mark.parametrize("n", [2, 4, 8])
@@ -55,6 +59,93 @@ def test_triple_vanishing_hypercube(dim):
     report = triple_vanishing_check(basis)
     assert report.checked == 2 * (dim + 1) ** 3
     assert report.ok
+
+
+@pytest.mark.parametrize("family, size, base", [
+    *(("sylvester", n, base) for n in (2, 4, 8, 16, 32) for base in (0, 5)),
+    *(("paley", q, base) for q in (7, 11, 19) for base in (0, 5)),
+    ("hypercube", 2, 0),
+    *(("hypercube", dim, base) for dim in (3, 4, 5, 6) for base in (0, 5)),
+])
+def test_triple_check_matches_dense_reference(family, size, base):
+    _, tables, _ = _CONTEXTS[family](size)
+    basis = terwilliger_basis(tables, base_vertex=base)
+    report = triple_vanishing_check(basis)
+    checked, violations = dense_triple_violations(basis)
+    assert report.checked == checked
+    assert list(report.violations) == violations
+
+
+def test_triple_check_forms_no_matrix_product(monkeypatch):
+    _, _, basis = paley_context(11)
+
+    def forbidden(a, b):
+        raise AssertionError("an N x N product was formed")
+    monkeypatch.setattr(ExactMatrix, "__matmul__", forbidden)
+    assert triple_vanishing_check(basis).ok
+
+
+def _with_tables(basis, **changes):
+    return dataclasses.replace(
+        basis, tables=dataclasses.replace(basis.tables, **changes))
+
+
+def test_triple_check_flags_scaled_krein_entry(had4):
+    _, tables, basis = had4
+    i, j, k = 1, 1, 2
+    assert tables.krein[i][j][k]
+    krein = [[list(row) for row in plane] for plane in tables.krein]
+    krein[i][j][k] = krein[i][j][k] * 2
+    bad = _with_tables(basis, krein=tuple(tuple(tuple(row) for row in plane)
+                                          for plane in krein))
+    # the zero pattern of the table is unchanged, so a zero test misses it
+    assert dense_triple_violations(bad)[1] == []
+    # ||E_i A*_k E_j||^2 = q_ij^k m_k no longer holds
+    assert triple_vanishing_check(bad).violations == (("EAsE", i, k, j),)
+
+
+def test_triple_check_flags_distance_entry_outside_its_shell_block(had4):
+    _, tables, basis = had4
+    neighbour = next(y for y in range(tables.vertex_count)
+                     if tables.distance[1].ra[0, y])
+    a2 = tables.distance[2]
+    ra = a2.ra.copy()
+    assert ra[0, neighbour] == 0
+    ra[0, neighbour] = 1
+    distance = list(tables.distance)
+    distance[2] = ExactMatrix(a2.dim, a2.radicand, ra)
+    bad = _with_tables(basis, distance=tuple(distance))
+    # the entry lies in the (shell 0, shell 1) block of A_2, and p_02^1 = 0
+    expected = [("EsAEs", 0, 2, 1)]
+    assert list(triple_vanishing_check(bad).violations) == expected
+    assert dense_triple_violations(bad)[1] == expected
+
+
+def test_triple_check_flags_perturbed_idempotent(had4):
+    _, tables, basis = had4
+    e1 = tables.idempotents[1]
+    ra = e1.ra.copy()
+    ra[2, 7] += 1
+    idempotents = list(tables.idempotents)
+    idempotents[1] = ExactMatrix(e1.dim, e1.radicand, ra, e1.rb, e1.den)
+    bad = _with_tables(basis, idempotents=tuple(idempotents))
+    # E_1 is neither symmetric nor idempotent now, so the norm identity no
+    # longer holds and the two checks flag different triples; both flag only
+    # E A* E triples with E_1 on the outside
+    for violations in (triple_vanishing_check(bad).violations,
+                       dense_triple_violations(bad)[1]):
+        assert violations
+        assert all(label == "EAsE" and 1 in (i, k)
+                   for label, i, _, k in violations)
+
+
+@pytest.mark.parametrize("field", ["dual_idempotents", "dual_distance"])
+def test_triple_check_rejects_non_diagonal_dual_matrices(had4, field):
+    _, tables, basis = had4
+    mats = list(getattr(basis, field))
+    mats[1] = tables.adjacency
+    with pytest.raises(SchemeError):
+        triple_vanishing_check(dataclasses.replace(basis, **{field: tuple(mats)}))
 
 
 def test_specific_triples(had4):
