@@ -20,8 +20,7 @@ from .entangle import (ClosedFormComparison, CorrelationReport, EntropySweepRow,
 from .exactmat import (DimensionMismatchError, ExactMatrix, anticommutator,
                        commutator)
 from .graphs import (DisconnectedGraphError, HadamardGraph, SchemeGraph,
-                     build_hadamard_graph, build_hypercube, distance_matrices,
-                     explicit_hadamard_distance_matrices)
+                     build_hadamard_graph, build_hypercube, distance_matrices)
 from .hadamard import (CoreBlocks, HadamardMatrix, NotHadamardError,
                        core_blocks, normalize, paley, sylvester, verify)
 from .qroot import QRootN, RadicandMismatchError, sqrt_of

@@ -7,13 +7,14 @@ Subcommands
     entropy   entropy sweep over orders and (K, ell) pairs
     heun      print the commuting operator's blocks and commutation status
 
-The --k flag is the Sylvester exponent for gen/verify and the energy cutoff
-for spectrum/heun (those take the order through --n or --q).  verify,
-spectrum and heun work on exact N x N matrices, N = 4n, and refuse graphs
-above EXACT_MAX_VERTICES before building any of them.  entropy builds no
-graph: its spectra come from the Terwilliger modules of the intersection
-array (see ``entangle.HadamardSpectra``), for Sylvester orders up to
-2^SYLVESTER_MAX_EXPONENT.  Exit codes: 0
+gen, verify, spectrum and heun take their matrix from exactly one of --n
+(Sylvester order), --q (Paley prime) and --in (matrix JSON file); --k is the
+energy cutoff K of spectrum and heun.  verify, spectrum and heun work on
+exact N x N matrices, N = 4n, and refuse graphs above EXACT_MAX_VERTICES
+before building any of them.  entropy builds no graph: its spectra come from
+the Terwilliger modules of the intersection array (see
+``entangle.HadamardSpectra``).  Sylvester orders, from --n or entropy
+--orders, are powers of two up to 2^SYLVESTER_MAX_EXPONENT.  Exit codes: 0
 success, 2 input validation, 3 exact-identity failure, 4 numerical failure.
 Output is deterministic: fixed key order, fixed float formatting, no
 timestamps.
@@ -79,66 +80,61 @@ def _check_budget(order: int, max_vertices: int | None, scope: str) -> None:
             f"{max_vertices} (order {max_vertices // 4}) {scope}")
 
 
-def _load_matrix(args, exponent: int | None, exact: bool = True) -> HadamardMatrix:
-    """Resolve the matrix source from --construction/--k/--n/--q/--in.
+def _check_sylvester_order(order: int) -> int:
+    """Hold a Sylvester order to the rule that it is a power of two no larger
+    than 2^SYLVESTER_MAX_EXPONENT, and return its exponent k."""
+    k = order.bit_length() - 1
+    if order <= 0 or 2**k != order:
+        raise CliInputError(f"order {order} is not a power of two")
+    if k > SYLVESTER_MAX_EXPONENT:
+        raise CliInputError(
+            f"order {order} is above the Sylvester cap {2**SYLVESTER_MAX_EXPONENT}")
+    return k
+
+
+def _load_matrix(args, exact: bool = True) -> HadamardMatrix:
+    """The matrix named by exactly one of --n, --q and --in.
 
     With ``exact`` the order is held to the exact-path budget before any
     matrix is built (for --in, once the file is loaded).
     """
+    given = [flag for flag, value in (("--n", args.n), ("--q", args.q),
+                                      ("--in", args.infile)) if value is not None]
+    if len(given) != 1:
+        raise CliInputError("need exactly one of --n, --q and --in, got "
+                            + (", ".join(given) or "none"))
     budget = EXACT_MAX_VERTICES if exact else None
     scope = "of the exact path; use 'fermigraph entropy' for larger orders"
-    construction = args.construction
     if args.infile is not None:
-        construction = "file"
-    if construction == "file":
-        if not args.infile:
-            raise CliInputError("--construction file needs --in PATH")
         try:
             h = HadamardMatrix.load(args.infile)
         except NotHadamardError:
             raise
-        except FileNotFoundError as exc:
+        except OSError as exc:
             raise CliInputError(str(exc)) from exc
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise CliInputError(f"bad matrix file: {exc}") from exc
         _check_budget(h.order, budget, scope)
         return h
-    if construction == "paley" and args.q is None:
-        raise CliInputError("paley construction needs --q")
     if args.n is not None:
-        n = args.n
-        k = n.bit_length() - 1
-        if n <= 0 or 2**k != n:
-            raise CliInputError(
-                f"--n {n} is not a power of two; use --q for Paley orders")
-        _check_budget(n, budget, scope)
+        k = _check_sylvester_order(args.n)
+        _check_budget(args.n, budget, scope)
         return sylvester(k)
-    if args.q is not None:
-        _check_budget(args.q + 1, budget, scope)
-        try:
-            return paley(args.q)
-        except ValueError as exc:
-            raise CliInputError(str(exc)) from exc
-    if exponent is None:
-        raise CliInputError("need --n (order) or --q (Paley prime)")
-    if 0 <= exponent <= SYLVESTER_MAX_EXPONENT:
-        _check_budget(2**exponent, budget, scope)
+    _check_budget(args.q + 1, budget, scope)
     try:
-        return sylvester(exponent)
+        return paley(args.q)
     except ValueError as exc:
         raise CliInputError(str(exc)) from exc
 
 
 def cmd_gen(args) -> int:
-    if args.construction == "sylvester" and args.k is None and args.n is None:
-        raise CliInputError("sylvester construction needs --k or --n")
-    h = _load_matrix(args, exponent=args.k, exact=False)
+    h = _load_matrix(args, exact=False)
     _emit(h.to_json() + "\n", args.out)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    h = _load_matrix(args, exponent=args.k)
+    h = _load_matrix(args)
     lines = []
     ok, dev = verify(h)
     lines.append(f"hadamard_product_identity: {'pass' if ok else 'FAIL'} "
@@ -173,7 +169,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    h = _load_matrix(args, exponent=None)
+    h = _load_matrix(args)
     graph = build_hadamard_graph(h)
     tables = build_scheme(graph)
     basis = terwilliger_basis(tables, base_vertex=0)
@@ -215,12 +211,8 @@ def cmd_entropy(args) -> int:
             pairs.append((int(k), int(ell)))
     else:
         pairs = [(1, 1), (1, 2), (2, 2), (1, 3), (2, 3), (3, 3)]
-    cap = 2**SYLVESTER_MAX_EXPONENT
     for n in orders:
-        if n <= 1 or 2**(n.bit_length() - 1) != n:
-            raise CliInputError(f"sweep orders must be powers of two, got {n}")
-        if n > cap:
-            raise CliInputError(f"order {n} is above the Sylvester cap {cap}")
+        _check_sylvester_order(n)
     rows = entropy_sweep(orders, pairs)
     lines = ["n,K,ell,S,S_per_n,S_4n_over_ln_n,limit,delta"]
     for r in rows:
@@ -234,7 +226,7 @@ def cmd_entropy(args) -> int:
 
 
 def cmd_heun(args) -> int:
-    h = _load_matrix(args, exponent=None)
+    h = _load_matrix(args)
     graph = build_hadamard_graph(h)
     tables = build_scheme(graph)
     basis = terwilliger_basis(tables, base_vertex=0)
@@ -275,14 +267,12 @@ def cmd_heun(args) -> int:
 
 
 def _add_matrix_source(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--construction", choices=["sylvester", "paley", "file"],
-                   default="sylvester")
     p.add_argument("--q", type=int, default=None,
                    help="Paley prime, q = 3 mod 4 (order q+1)")
     p.add_argument("--n", type=int, default=None,
                    help="Hadamard order (power of two, Sylvester)")
     p.add_argument("--in", dest="infile", default=None,
-                   help="matrix JSON file for --construction file")
+                   help="matrix JSON file")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -298,13 +288,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="construct a Hadamard matrix")
     _add_matrix_source(p)
     _add_common(p)
-    p.add_argument("--k", type=int, default=None, help="Sylvester exponent")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("verify", help="exact scheme verification report")
     _add_matrix_source(p)
     _add_common(p)
-    p.add_argument("--k", type=int, default=None, help="Sylvester exponent")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("spectrum", help="chopped-correlation report")

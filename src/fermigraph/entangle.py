@@ -36,8 +36,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .eig import (DEFAULT_CLUSTER_TOL, DEFAULT_EIG_TOL, InvalidSpectrumError,
-                  Spectrum, cluster_spectrum, symmetric_eig)
+from .eig import (DEFAULT_CLUSTER_TOL, InvalidSpectrumError, Spectrum,
+                  cluster_spectrum, symmetric_eig)
 from .exactmat import ExactMatrix, _qprod, commutator
 from .qroot import QRootN
 from .scheme import ModuleClass, SchemeTables, hadamard_modules
@@ -45,6 +45,8 @@ from .terwilliger import TerwilligerBasis
 
 ENTROPY_CONSTANT = 2.0 * math.log(2.0) - 0.75 * math.log(3.0)
 CLOSED_FORM_FLAG_TOL = 1e-8
+# how far a float eigenvalue of a correlation matrix may fall outside [0, 1]
+_CONTAINMENT_TOL = 1e-9
 DEFAULT_MODE_EPSILON = 1e-12
 
 
@@ -132,48 +134,47 @@ def heun_operator(tables: SchemeTables, basis: TerwilligerBasis,
                         mu=mu, nu=nu, matrix=t)
 
 
+def _heun_expansion(tables: SchemeTables, family, partner: ExactMatrix,
+                    column1, own: QRootN, other: QRootN) -> ExactMatrix:
+    """T = sum_i (2 c_i + own) F_i X F_i + other c_i F_i
+         + sum_i (c_(i-1) + c_i + own) (F_(i-1) X F_i + its transpose)
+    for a family F of diagonalizing idempotents, the partner X of the family's
+    generator and the column c = column1 of the family's eigenmatrix."""
+    d = tables.diameter
+    terms = []
+    for i in range(d + 1):
+        terms += [(column1[i] * 2 + own, family[i] @ partner @ family[i]),
+                  (other * column1[i], family[i])]
+    for i in range(1, d + 1):
+        coeff = column1[i - 1] + column1[i] + own
+        cross = family[i - 1] @ partner @ family[i]
+        terms += [(coeff, cross), (coeff, cross.T)]
+    return ExactMatrix.combination(terms, tables.vertex_count, tables.radicand)
+
+
 def heun_expansion_neighbourhood(tables: SchemeTables, basis: TerwilligerBasis,
                                  mu: QRootN, nu: QRootN) -> ExactMatrix:
     """Rebuild T from its block-tridiagonal form in the dual-idempotent family."""
-    d = tables.diameter
-    a = tables.adjacency
-    estars = basis.dual_idempotents
-    q1 = [tables.eigenmatrix_q[i][1] for i in range(d + 1)]
-    terms = []
-    for i in range(d + 1):
-        terms += [(q1[i] * 2 + nu, estars[i] @ a @ estars[i]),
-                  (mu * q1[i], estars[i])]
-    for i in range(1, d + 1):
-        coeff = q1[i - 1] + q1[i] + nu
-        cross = estars[i - 1] @ a @ estars[i]
-        terms += [(coeff, cross), (coeff, cross.T)]
-    return ExactMatrix.combination(terms, tables.vertex_count, tables.radicand)
+    q1 = [row[1] for row in tables.eigenmatrix_q]
+    return _heun_expansion(tables, basis.dual_idempotents, tables.adjacency,
+                           q1, nu, mu)
 
 
 def heun_expansion_energy(tables: SchemeTables, basis: TerwilligerBasis,
                           mu: QRootN, nu: QRootN) -> ExactMatrix:
     """Rebuild T from its block-tridiagonal form in the idempotent family."""
-    d = tables.diameter
-    astar = basis.dual_adjacency
-    es = tables.idempotents
-    p1 = [tables.eigenmatrix_p[i][1] for i in range(d + 1)]
-    terms = []
-    for i in range(d + 1):
-        terms += [(p1[i] * 2 + mu, es[i] @ astar @ es[i]), (nu * p1[i], es[i])]
-    for i in range(1, d + 1):
-        coeff = p1[i - 1] + p1[i] + mu
-        cross = es[i - 1] @ astar @ es[i]
-        terms += [(coeff, cross), (coeff, cross.T)]
-    return ExactMatrix.combination(terms, tables.vertex_count, tables.radicand)
+    p1 = [row[1] for row in tables.eigenmatrix_p]
+    return _heun_expansion(tables, tables.idempotents, basis.dual_adjacency,
+                           p1, mu, nu)
 
 
 # -- spectra -------------------------------------------------------------------
 
 def spectrum_numeric(m: ExactMatrix, cluster_tol: float = DEFAULT_CLUSTER_TOL,
-                     eig_tol: float = DEFAULT_EIG_TOL) -> Spectrum:
+                     ) -> Spectrum:
     """Cluster the float spectrum of an exact symmetric matrix, with the trace
     check done against the exact trace."""
-    values, _ = symmetric_eig(m.to_float(), tol=eig_tol)
+    values, _ = symmetric_eig(m.to_float())
     spec = cluster_spectrum(values, tol=cluster_tol, trace=float(m.trace()))
     if spec.trace_check > max(cluster_tol, 1e-12) * m.dim:
         raise InvalidSpectrumError(
@@ -243,17 +244,16 @@ class ClosedFormComparison:
 
 
 def compare_with_claims(spectrum: Spectrum, claims: list[tuple[float, int]],
-                        tol: float = CLOSED_FORM_FLAG_TOL,
                         ) -> list[ClosedFormComparison]:
     """Match each claimed cluster to the nearest observed one and flag
-    mismatches in value (beyond tol) or multiplicity."""
+    mismatches in value (beyond CLOSED_FORM_FLAG_TOL) or multiplicity."""
     out = []
     observed = list(spectrum.entries)
     for cv, cm in claims:
         if observed:
             ov, om = min(observed, key=lambda e: abs(e[0] - cv))
             delta = abs(ov - cv)
-            flag = delta > tol or om != cm
+            flag = delta > CLOSED_FORM_FLAG_TOL or om != cm
             out.append(ClosedFormComparison(cv, cm, ov, om, delta, flag))
         else:
             out.append(ClosedFormComparison(cv, cm, None, None, None, True))
@@ -292,11 +292,11 @@ def binary_entropy(nu: float) -> float:
     return s
 
 
-def entropy(values, tol: float = 1e-9) -> float:
+def entropy(values) -> float:
     """Von Neumann entropy of a filled-mode spectrum, in nats.
 
-    Every eigenvalue must lie in [-tol, 1 + tol]; values are clamped to [0, 1]
-    before evaluation.
+    Every eigenvalue must lie in [0, 1] within _CONTAINMENT_TOL; values are
+    clamped to [0, 1] before evaluation.
     """
     if isinstance(values, Spectrum):
         pairs = list(values.entries)
@@ -304,9 +304,9 @@ def entropy(values, tol: float = 1e-9) -> float:
         pairs = [(float(v), 1) for v in values]
     total = 0.0
     for nu, mult in pairs:
-        if nu < -tol or nu > 1.0 + tol:
+        if nu < -_CONTAINMENT_TOL or nu > 1.0 + _CONTAINMENT_TOL:
             raise InvalidSpectrumError(
-                f"eigenvalue {nu} outside [-{tol}, 1+{tol}]")
+                f"eigenvalue {nu} outside [-{_CONTAINMENT_TOL}, 1+{_CONTAINMENT_TOL}]")
         total += mult * binary_entropy(min(1.0, max(0.0, nu)))
     return total
 
@@ -365,7 +365,8 @@ def correlation_report(tables: SchemeTables, basis: TerwilligerBasis,
         raise InvalidSpectrumError(
             f"trace {tr} differs from N_ell F_K / N = {expected}")
     spec = spectrum_numeric(pi, cluster_tol=cluster_tol)
-    if spec.values and (spec.values[0] < -1e-9 or spec.values[-1] > 1 + 1e-9):
+    if spec.values and (spec.values[0] < -_CONTAINMENT_TOL
+                        or spec.values[-1] > 1 + _CONTAINMENT_TOL):
         raise InvalidSpectrumError(f"spectrum escapes [0, 1]: {spec}")
     d = tables.diameter
     commut: bool | None = None

@@ -176,65 +176,3 @@ def build_hypercube(dimension: int) -> SchemeGraph:
         radicand=1,
         eigenvalues=thetas,
     )
-
-
-# -- explicit block forms (independent cross-checks) --------------------------
-
-def _assemble(blocks: list[list[np.ndarray]]) -> np.ndarray:
-    return np.block([[np.asarray(b, dtype=object) for b in row] for row in blocks])
-
-
-def explicit_hadamard_distance_matrices(h: HadamardMatrix) -> list[ExactMatrix]:
-    """The five distance matrices written directly from the row/column blocks.
-
-    Independent of any search: A1 and A3 come from M1/M2, A4 is the antipodal
-    matching, A2 is the complement within each bipartition class.
-    """
-    n = h.order
-    cb = core_blocks(h)
-    m1, m2 = cb.m1, cb.m2
-    one = np.ones((n, 1), dtype=object)
-    zeros = lambda r, c: np.zeros((r, c), dtype=object)
-    eye = lambda m: np.eye(m, dtype=int).astype(object)
-    jmat = lambda r, c: np.ones((r, c), dtype=object)
-    mid = 2 * n - 2
-
-    a0 = eye(4 * n)
-
-    a1 = _assemble([
-        [zeros(1, 1), one.T, zeros(1, mid), zeros(1, n), zeros(1, 1)],
-        [one, zeros(n, n), m1, zeros(n, n), zeros(n, 1)],
-        [zeros(mid, 1), m1.T, zeros(mid, mid), m2.T, zeros(mid, 1)],
-        [zeros(n, 1), zeros(n, n), m2, zeros(n, n), one],
-        [zeros(1, 1), zeros(1, n), zeros(1, mid), one.T, zeros(1, 1)],
-    ])
-
-    a3 = _assemble([
-        [zeros(1, 1), zeros(1, n), zeros(1, mid), one.T, zeros(1, 1)],
-        [zeros(n, 1), zeros(n, n), m2, zeros(n, n), one],
-        [zeros(mid, 1), m2.T, zeros(mid, mid), m1.T, zeros(mid, 1)],
-        [one, zeros(n, n), m1, zeros(n, n), zeros(n, 1)],
-        [zeros(1, 1), one.T, zeros(1, mid), zeros(1, n), zeros(1, 1)],
-    ])
-
-    r2_kron_eye = np.block([[zeros(n - 1, n - 1), eye(n - 1)],
-                            [eye(n - 1), zeros(n - 1, n - 1)]])
-    a4 = _assemble([
-        [zeros(1, 1), zeros(1, n), zeros(1, mid), zeros(1, n), np.array([[1]], dtype=object)],
-        [zeros(n, 1), zeros(n, n), zeros(n, mid), eye(n), zeros(n, 1)],
-        [zeros(mid, 1), zeros(mid, n), r2_kron_eye, zeros(mid, n), zeros(mid, 1)],
-        [zeros(n, 1), eye(n), zeros(n, mid), zeros(n, n), zeros(n, 1)],
-        [np.array([[1]], dtype=object), zeros(1, n), zeros(1, mid), zeros(1, n), zeros(1, 1)],
-    ])
-
-    j2_kron_eye = np.block([[eye(n - 1), eye(n - 1)],
-                            [eye(n - 1), eye(n - 1)]])
-    a2 = _assemble([
-        [zeros(1, 1), zeros(1, n), jmat(1, mid), zeros(1, n), zeros(1, 1)],
-        [zeros(n, 1), jmat(n, n) - eye(n), zeros(n, mid), jmat(n, n) - eye(n), zeros(n, 1)],
-        [jmat(mid, 1), zeros(mid, n), jmat(mid, mid) - j2_kron_eye, zeros(mid, n), jmat(mid, 1)],
-        [zeros(n, 1), jmat(n, n) - eye(n), zeros(n, mid), jmat(n, n) - eye(n), zeros(n, 1)],
-        [zeros(1, 1), zeros(1, n), jmat(1, mid), zeros(1, n), zeros(1, 1)],
-    ])
-
-    return [ExactMatrix.from_int_array(a, radicand=n) for a in (a0, a1, a2, a3, a4)]

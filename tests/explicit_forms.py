@@ -1,18 +1,21 @@
-"""Independent block encodings of the chopped correlation matrices.
+"""Independent block encodings of the distance and chopped correlation
+matrices of the Hadamard graph.
 
 These are written straight from the row/column block structure of the
 Hadamard graph (J, I, Hbar and back-diagonal pieces only) and never touch the
-projector pipeline, so comparing them against pi1 pi2 pi1 exercises the whole
-idempotent construction end to end.  Indexing: explicit_chopped(graph, a, b)
-is the restriction of the first b+1 energy projectors to the first a
-neighbourhoods, i.e. chopped_correlation with K=b and ell=a.
+search or the projector pipeline, so comparing them against the computed
+distance matrices and pi1 pi2 pi1 exercises the breadth-first search and the
+whole idempotent construction end to end.  Indexing:
+explicit_chopped(graph, a, b) is the restriction of the first b+1 energy
+projectors to the first a neighbourhoods, i.e. chopped_correlation with K=b
+and ell=a.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from fermigraph import ExactMatrix, HadamardGraph
+from fermigraph import ExactMatrix, HadamardGraph, HadamardMatrix, core_blocks
 
 
 def _zeros(r, c):
@@ -119,3 +122,56 @@ def explicit_chopped(graph: HadamardGraph, a: int, b: int) -> ExactMatrix:
     if not rb.any():
         rb = None
     return ExactMatrix(4 * n, n, ra, rb, 4 * n)
+
+
+def explicit_hadamard_distance_matrices(h: HadamardMatrix) -> list[ExactMatrix]:
+    """The five distance matrices written directly from the row/column blocks.
+
+    Independent of any search: A1 and A3 come from M1/M2, A4 is the antipodal
+    matching, A2 is the complement within each bipartition class.
+    """
+    n = h.order
+    cb = core_blocks(h)
+    m1, m2 = cb.m1, cb.m2
+    one = _ones(n, 1)
+    mid = 2 * n - 2
+
+    a0 = _eye(4 * n)
+
+    a1 = _assemble([
+        [_zeros(1, 1), one.T, _zeros(1, mid), _zeros(1, n), _zeros(1, 1)],
+        [one, _zeros(n, n), m1, _zeros(n, n), _zeros(n, 1)],
+        [_zeros(mid, 1), m1.T, _zeros(mid, mid), m2.T, _zeros(mid, 1)],
+        [_zeros(n, 1), _zeros(n, n), m2, _zeros(n, n), one],
+        [_zeros(1, 1), _zeros(1, n), _zeros(1, mid), one.T, _zeros(1, 1)],
+    ])
+
+    a3 = _assemble([
+        [_zeros(1, 1), _zeros(1, n), _zeros(1, mid), one.T, _zeros(1, 1)],
+        [_zeros(n, 1), _zeros(n, n), m2, _zeros(n, n), one],
+        [_zeros(mid, 1), m2.T, _zeros(mid, mid), m1.T, _zeros(mid, 1)],
+        [one, _zeros(n, n), m1, _zeros(n, n), _zeros(n, 1)],
+        [_zeros(1, 1), one.T, _zeros(1, mid), _zeros(1, n), _zeros(1, 1)],
+    ])
+
+    r2_kron_eye = np.block([[_zeros(n - 1, n - 1), _eye(n - 1)],
+                            [_eye(n - 1), _zeros(n - 1, n - 1)]])
+    a4 = _assemble([
+        [_zeros(1, 1), _zeros(1, n), _zeros(1, mid), _zeros(1, n), _ones(1, 1)],
+        [_zeros(n, 1), _zeros(n, n), _zeros(n, mid), _eye(n), _zeros(n, 1)],
+        [_zeros(mid, 1), _zeros(mid, n), r2_kron_eye, _zeros(mid, n), _zeros(mid, 1)],
+        [_zeros(n, 1), _eye(n), _zeros(n, mid), _zeros(n, n), _zeros(n, 1)],
+        [_ones(1, 1), _zeros(1, n), _zeros(1, mid), _zeros(1, n), _zeros(1, 1)],
+    ])
+
+    j2_kron_eye = np.block([[_eye(n - 1), _eye(n - 1)],
+                            [_eye(n - 1), _eye(n - 1)]])
+    a2 = _assemble([
+        [_zeros(1, 1), _zeros(1, n), _ones(1, mid), _zeros(1, n), _zeros(1, 1)],
+        [_zeros(n, 1), _ones(n, n) - _eye(n), _zeros(n, mid), _ones(n, n) - _eye(n), _zeros(n, 1)],
+        [_ones(mid, 1), _zeros(mid, n), _ones(mid, mid) - j2_kron_eye, _zeros(mid, n), _ones(mid, 1)],
+        [_zeros(n, 1), _ones(n, n) - _eye(n), _zeros(n, mid), _ones(n, n) - _eye(n), _zeros(n, 1)],
+        [_zeros(1, 1), _zeros(1, n), _ones(1, mid), _zeros(1, n), _zeros(1, 1)],
+    ])
+
+    return [ExactMatrix.from_int_array(a, radicand=n) for a in (a0, a1, a2, a3, a4)]

@@ -17,7 +17,7 @@ def run(args, capsys):
 
 
 def test_gen_sylvester(capsys):
-    code, out, _ = run(["gen", "--construction", "sylvester", "--k", "2"], capsys)
+    code, out, _ = run(["gen", "--n", "4"], capsys)
     assert code == 0
     data = json.loads(out)
     assert data["order"] == 4
@@ -27,21 +27,20 @@ def test_gen_sylvester(capsys):
 
 def test_gen_paley_verifies(capsys, tmp_path):
     out_path = tmp_path / "h8.json"
-    code, _, _ = run(["gen", "--construction", "paley", "--q", "7",
-                      "--out", str(out_path)], capsys)
+    code, _, _ = run(["gen", "--q", "7", "--out", str(out_path)], capsys)
     assert code == 0
     h = HadamardMatrix.load(out_path)
     assert h.order == 8 and verify(h)[0]
 
 
 def test_gen_paley_bad_prime(capsys):
-    code, _, err = run(["gen", "--construction", "paley", "--q", "5"], capsys)
+    code, _, err = run(["gen", "--q", "5"], capsys)
     assert code == 2
     assert "mod 4" in err
 
 
 def test_gen_needs_parameters(capsys):
-    code, _, _ = run(["gen", "--construction", "paley"], capsys)
+    code, _, _ = run(["gen"], capsys)
     assert code == 2
 
 
@@ -88,16 +87,14 @@ def test_verify_corrupted_file_exits_three(capsys, tmp_path):
     rows[2][1] *= -1
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"order": 4, "rows": rows}))
-    code, _, err = run(["verify", "--construction", "file", "--in", str(bad)],
-                       capsys)
+    code, _, err = run(["verify", "--in", str(bad)], capsys)
     assert code == 3
 
 
 def test_verify_malformed_file_exits_two(capsys, tmp_path):
     bad = tmp_path / "broken.json"
     bad.write_text("{not json")
-    code, _, _ = run(["verify", "--construction", "file", "--in", str(bad)],
-                     capsys)
+    code, _, _ = run(["verify", "--in", str(bad)], capsys)
     assert code == 2
 
 
@@ -281,7 +278,7 @@ def test_verify_order_sixty_four_passes(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["verify", "--n", "256"],
-    ["verify", "--k", "12"],
+    ["verify", "--n", "4096"],
     ["spectrum", "--k", "1", "--ell", "1", "--n", "4096"],
     ["spectrum", "--k", "1", "--ell", "1", "--q", "131"],
     ["heun", "--k", "1", "--ell", "1", "--n", "256"],
@@ -306,7 +303,55 @@ def test_exact_budget_applies_to_matrix_files(capsys, tmp_path):
 def test_exact_budget_boundary_is_order_128():
     parser = build_parser()
     args = parser.parse_args(["verify", "--n", "128"])
-    assert 4 * _load_matrix(args, exponent=args.k).order == EXACT_MAX_VERTICES
-    args = parser.parse_args(["verify", "--k", "8"])
+    assert 4 * _load_matrix(args).order == EXACT_MAX_VERTICES
+    args = parser.parse_args(["verify", "--n", "256"])
     with pytest.raises(CliInputError):
-        _load_matrix(args, exponent=args.k)
+        _load_matrix(args)
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["gen", "--q", "3", "--n", "8"], "--n, --q"),
+    (["verify", "--n", "4", "--q", "3"], "--n, --q"),
+    (["verify", "--n", "64", "--in", "ORDER4"], "--n, --in"),
+    (["gen"], "none"),
+    (["verify"], "none"),
+    (["spectrum", "--k", "1", "--ell", "1"], "none"),
+    (["heun", "--k", "1", "--ell", "1"], "none"),
+])
+def test_matrix_source_must_be_exactly_one(argv, named, capsys, tmp_path,
+                                           monkeypatch):
+    path = tmp_path / "h4.json"
+    path.write_text(sylvester(2).to_json())
+    argv = [str(path) if a == "ORDER4" else a for a in argv]
+    monkeypatch.setattr(cli, "sylvester", None)   # refused before any build
+    monkeypatch.setattr(cli, "paley", None)
+    monkeypatch.setattr(cli.HadamardMatrix, "load", None)
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.rstrip().endswith(f"got {named}")
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--construction", "sylvester", "--n", "4"],
+    ["verify", "--k", "2"],
+])
+def test_removed_source_options_are_refused(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_verify_unreadable_file_exits_two(capsys, tmp_path):
+    code, out, err = run(["verify", "--in", str(tmp_path)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("order", ["6", "0", "8192"])
+def test_sylvester_order_rule_is_shared(order, capsys):
+    code, _, err_n = run(["gen", "--n", order], capsys)
+    assert code == 2
+    code, _, err_orders = run(["entropy", "--orders", order], capsys)
+    assert code == 2
+    assert err_n == err_orders and err_n.startswith(f"error: order {order} ")

@@ -3,10 +3,10 @@ import pytest
 
 from fermigraph import (DisconnectedGraphError, ExactMatrix,
                         build_hadamard_graph, build_hypercube,
-                        distance_matrices, explicit_hadamard_distance_matrices,
-                        spectrum_numeric, sylvester)
+                        distance_matrices, spectrum_numeric, sylvester)
 from fermigraph.graphs import distance_matrices_from_adjacency
 from tests.conftest import hadamard_context
+from tests.explicit_forms import explicit_hadamard_distance_matrices
 
 
 def find_isomorphism(adj_a: np.ndarray, adj_b: np.ndarray) -> list | None:
