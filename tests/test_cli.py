@@ -1,5 +1,6 @@
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -79,6 +80,18 @@ def test_verify_report_bytes(source, order, capsys):
     code, out, err = run(["verify", *source], capsys)
     assert code == 0 and err == ""
     assert out == VERIFY_REPORT.format(n=order, n_1=order - 1, half=order // 2)
+
+
+# full `heun` and `spectrum` reports, keyed by their argv, recorded before
+# the exact kernel moved to int64 storage
+REPORTS = json.loads((Path(__file__).parent / "cli_reports.json").read_text())
+
+
+@pytest.mark.parametrize("argv", sorted(REPORTS))
+def test_heun_and_spectrum_report_bytes(argv, capsys):
+    code, out, err = run(argv.split(), capsys)
+    assert code == 0 and err == ""
+    assert out == REPORTS[argv]
 
 
 def test_verify_corrupted_file_exits_three(capsys, tmp_path):
