@@ -1,6 +1,6 @@
 """Dense exact matrices over Q(sqrt(n)).
 
-A matrix is stored as a pair of arbitrary-precision integer arrays ``ra``,
+A matrix is stored as a pair of exact integer arrays ``ra``,
 ``rb`` and a common positive denominator ``den``:
 
     M = (ra + rb*sqrt(n)) / den
@@ -17,11 +17,32 @@ the elementwise product of ``schur`` and of scalar coefficients.  Every
 linear combination sum_k c_k M_k, ``+``, ``-`` and ``scale`` included, is one
 ``ExactMatrix.combination``: one common denominator, one normalization.
 
-Storage and kernel are split.  ``ra`` and ``rb`` are stored with dtype=object,
-so entries are Python ints and never overflow.  The integer products inside
-a dense matmul run on float64 BLAS whenever ``max|x| * max|y| * N < 2^53``,
-which makes every partial sum an exactly representable integer; larger
-operands fall back to the object product (see ``_int_dot``).
+Storage and kernel are split.  ``ra`` and ``rb`` are int64 arrays whenever
+every entry has magnitude below 2^62, and object arrays of Python ints
+otherwise; this dtype is part of the canonical form, so equal matrices have
+equal dtypes.  No int64 operation runs on trust.  Each one first bounds the
+magnitude of its result, and of every partial sum on the way, from the
+operands' max |entry|, and runs on Python ints unless that bound is below
+2^62 (``_on_bound``, the one place the choice is made).  Each matrix keeps
+its parts' max |entry| (``_mag``), so bounding a product reads no array:
+
+- the product rule in ``_bounded_qprod``: ``inner * (|a||c| + |b||d| n)``
+  for the rational part and ``inner * (|a||d| + |b||c|)`` for the sqrt(n)
+  part, with ``inner`` the inner dimension of ``@`` and 1 for diagonal
+  scalings and ``schur``;
+- ``combination``: the sum of every term's product-rule bound, taken before
+  any term is added, so an int64 accumulator never meets an object term;
+- the perfect-square fold ``ra + rb * s`` and the division by the gcd in
+  ``_normalize`` (that gcd exceeds 2^62 only when every entry is zero);
+- scalings and entry sums read off the arrays by other modules and by
+  ``trace``: ``_scaled_sum`` bounds ``|factor| * max|entry| * terms``.
+
+A dense matmul whose product-rule bound is below 2^53 runs its part
+products on float64 BLAS, where every partial sum is an exactly
+representable integer.  Above that, each part product is checked on its own
+(``_int_dot``) and falls back to the object product when its
+``max|x| * max|y| * N`` reaches 2^53.  A result that lands on Python ints
+returns to int64 storage as soon as its entries fit again.
 """
 
 from __future__ import annotations
@@ -49,6 +70,9 @@ def _as_object(arr) -> np.ndarray:
 
 # every integer of magnitude below 2^53 is exact in float64
 _FLOAT64_EXACT_LIMIT = 2**53
+# int64 storage holds entries of magnitude below 2^62: a bound below it
+# leaves every sum of two such bounds, and every negation, inside int64
+_INT64_LIMIT = 2**62
 
 
 def _max_abs(a: np.ndarray) -> int:
@@ -56,29 +80,77 @@ def _max_abs(a: np.ndarray) -> int:
     return max(int(a.max()), -int(a.min())) if a.size else 0
 
 
-def _int_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Exact integer matrix product ``x @ y`` as an object array of Python ints.
+def _canonical(arr, mag: int | None = None) -> tuple[np.ndarray, int]:
+    """An integer array as stored, with its max |entry| (``mag``, when the
+    caller knows it): int64 when that is below 2^62, else an object array of
+    Python ints."""
+    arr = np.asarray(arr)
+    if arr.dtype != np.int64:
+        # uint64 and object arrays may hold entries outside int64
+        small = arr.dtype.kind in "bi" or (arr.dtype.kind == "u"
+                                           and arr.dtype.itemsize < 8)
+        arr = arr.astype(np.int64 if small else object)
+    if mag is None:
+        mag = _max_abs(arr)
+    fits = mag < _INT64_LIMIT
+    if fits != (arr.dtype == np.int64):
+        arr = arr.astype(np.int64 if fits else object)
+    return arr, mag
 
-    Both operands are converted to int64; if either holds an entry outside
-    int64, the product runs on Python ints (dtype=object).  Otherwise, with
-    ``mx = max|x|`` and ``my = max|y|`` taken as Python ints and inner
+
+def _on_bound(bound: int, *arrays):
+    """``arrays`` to compute on, given a bound on the magnitude of the
+    result and of every partial result: as they are when it is below 2^62,
+    so int64 arithmetic on them is exact, else as object arrays, so the
+    arithmetic runs on Python ints.  ``None`` entries stay ``None``."""
+    if bound < _INT64_LIMIT:
+        return arrays
+    return tuple(None if a is None else _as_object(a) for a in arrays)
+
+
+def _scaled_sum(arr: np.ndarray, factor: int = 1, axis=()):
+    """``factor * arr`` summed over ``axis`` (none by default, every entry
+    for ``None``), exactly: its magnitude, and that of every partial sum,
+    is at most ``|factor| * max|arr|`` times the number of terms summed."""
+    axes = range(arr.ndim) if axis is None else np.atleast_1d(axis).astype(int)
+    terms = math.prod(arr.shape[a] for a in axes)
+    m = _max_abs(arr)
+    (arr,) = _on_bound(max(abs(factor) * m * terms, abs(factor), m), arr)
+    return (arr * factor).sum(axis=axis)
+
+
+def _int_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Exact integer matrix product ``x @ y``.
+
+    With ``mx = max|x|`` and ``my = max|y|`` taken as Python ints and inner
     dimension ``N``, every product ``x[i,k] * y[k,j]`` is an integer of
     magnitude at most ``mx * my``, and every sum of any subset of the ``N``
     products that make up one entry has magnitude at most ``mx * my * N``.
     When that is below 2^53, float64 holds each of these integers exactly,
     so a classical float64 gemm returns the exact result whatever its
     summation order, blocking or use of fused multiply-add: every rounding
-    step rounds an exact integer to itself.  Above the bound the product
-    runs on Python ints.
+    step rounds an exact integer to itself.  Above the bound, or when an
+    entry lies outside int64, the product runs on Python ints.
+
+    The result is int64 when both operands are, and an object array of
+    Python ints otherwise, so a caller on the object path stays on it.
     """
     try:
-        xi, yi = x.astype(np.int64), y.astype(np.int64)
+        xi, yi = x.astype(np.int64, copy=False), y.astype(np.int64, copy=False)
     except OverflowError:
         return np.dot(_as_object(x), _as_object(y))
     if _max_abs(xi) * _max_abs(yi) * x.shape[-1] >= _FLOAT64_EXACT_LIMIT:
         return np.dot(_as_object(x), _as_object(y))
-    out = np.dot(xi.astype(np.float64), yi.astype(np.float64))
-    return out.astype(np.int64).astype(object)
+    out = _float_dot(xi, yi)
+    if x.dtype == y.dtype == np.int64:
+        return out
+    return out.astype(object)
+
+
+def _float_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x @ y`` on float64 BLAS, for int64 operands whose product is known
+    to satisfy the 2^53 bound of ``_int_dot``."""
+    return np.dot(x.astype(np.float64), y.astype(np.float64)).astype(np.int64)
 
 
 def _qprod(xa, xb, ya, yb, n: int, mul):
@@ -99,6 +171,43 @@ def _qprod(xa, xb, ya, yb, n: int, mul):
     return ra, mul(xa, yb) + mul(xb, ya)
 
 
+def _mags(parts) -> tuple:
+    """max |p| of each part (an array or a Python int), None for a part
+    that is None."""
+    return tuple(None if p is None else abs(p) if isinstance(p, int)
+                 else _max_abs(p) for p in parts)
+
+
+def _qprod_bound(mx, my, n: int, inner: int = 1) -> int:
+    """Bound on every entry, and every partial sum, of the product rule for
+    operands x = (xa, xb), y = (ya, yb) with ``inner`` products per entry,
+    from their parts' max |entry| ``mx``, ``my`` (see ``_mags``).  It also
+    covers each operand and ``n`` itself, since a Python int has to fit
+    int64 before numpy multiplies by it."""
+    (xa, xb), (ya, yb) = mx, my
+    n_used = n if xb is not None and yb is not None else 0
+    xb, yb = xb or 0, yb or 0
+    return max(inner * max(xa * ya + xb * yb * n, xa * yb + xb * ya),
+               xa, xb, ya, yb, n_used)
+
+
+def _bounded_qprod(x, y, n: int, inner: int | None = None, mags=None):
+    """``_qprod`` of parts x = (xa, xb), y = (ya, yb): elementwise (with
+    broadcasting) when ``inner`` is None, else the matrix product with
+    inner dimension ``inner``.  It runs on int64 when its bound allows, else
+    on Python ints.  A bound below 2^53 also bounds each of the four part
+    products, so they go to float64 BLAS without a check of their own.
+    ``mags`` is ``(_mags(x), _mags(y))`` when the caller knows it."""
+    mx, my = mags or (_mags(x), _mags(y))
+    bound = _qprod_bound(mx, my, n, inner or 1)
+    x_and_y = _on_bound(bound, *x, *y)
+    if inner is None:
+        mul = operator.mul
+    else:
+        mul = _float_dot if bound < _FLOAT64_EXACT_LIMIT else _int_dot
+    return _qprod(*x_and_y, n, mul)
+
+
 def _over_common_den(values, radicand: int):
     """Values in Q(sqrt(radicand)) as integer arrays ``a``, ``b`` (``None``
     when every sqrt part vanishes) over one common denominator ``den``."""
@@ -108,8 +217,8 @@ def _over_common_den(values, radicand: int):
         raise RadicandMismatchError("value radicand differs from matrix")
     den = math.lcm(*(s.a.denominator for s in scalars),
                    *(s.b.denominator for s in scalars))
-    a = np.array([int(s.a * den) for s in scalars], dtype=object)
-    b = np.array([int(s.b * den) for s in scalars], dtype=object)
+    a, _ = _canonical(np.array([int(s.a * den) for s in scalars], dtype=object))
+    b, _ = _canonical(np.array([int(s.b * den) for s in scalars], dtype=object))
     return a, (b if b.any() else None), den
 
 
@@ -121,53 +230,44 @@ def _check_conforming(dim: int, radicand: int, m: "ExactMatrix") -> None:
             f"radicand mismatch: {radicand} vs {m.radicand}")
 
 
-def _gcd_reduce(arrays: Iterable[np.ndarray], start: int) -> int:
-    if start == 1:
-        return 1
-    g = start
-    for arr in arrays:
-        for v in arr.flat:
-            if v:
-                g = math.gcd(g, v if v > 0 else -v)
-                if g == 1:
-                    return 1
-    return g
-
-
 class ExactMatrix:
     """Square matrix with entries in Q(sqrt(n)), exact in every operation."""
 
-    __slots__ = ("dim", "radicand", "den", "ra", "rb")
+    __slots__ = ("dim", "radicand", "den", "ra", "rb", "_mag")
 
     def __init__(self, dim: int, radicand: int, ra, rb=None, den: int = 1,
-                 _normalized: bool = False) -> None:
+                 _mag: tuple | None = None) -> None:
         if den == 0:
             raise ZeroDivisionError("zero denominator")
         self.dim = dim
         self.radicand = radicand
-        self.ra = _as_object(ra)
-        self.rb = None if rb is None else _as_object(rb)
         self.den = den
+        # ``_mag`` holds the parts' max |entry| (see ``_mags``); callers pass
+        # it only with arrays that are already in canonical form
+        if _mag is None:
+            self.ra, ma = _canonical(ra)
+            self.rb, mb = (None, None) if rb is None else _canonical(rb)
+            self._mag = (ma, mb)
+        else:
+            self.ra, self.rb, self._mag = ra, rb, _mag
         if self.ra.shape != (dim, dim):
             raise DimensionMismatchError(f"expected {(dim, dim)} got {self.ra.shape}")
         if self.rb is not None and self.rb.shape != (dim, dim):
             raise DimensionMismatchError("rational/irrational shapes differ")
-        if not _normalized:
+        if _mag is None:
             self._normalize()
 
     # -- construction --------------------------------------------------------
 
     @classmethod
     def zeros(cls, dim: int, radicand: int = 1) -> "ExactMatrix":
-        return cls(dim, radicand, np.zeros((dim, dim), dtype=object), None, 1,
-                   _normalized=True)
+        return cls(dim, radicand, np.zeros((dim, dim), dtype=np.int64), None, 1,
+                   _mag=(0, None))
 
     @classmethod
     def identity(cls, dim: int, radicand: int = 1) -> "ExactMatrix":
-        ra = np.zeros((dim, dim), dtype=object)
-        for i in range(dim):
-            ra[i, i] = 1
-        return cls(dim, radicand, ra, None, 1, _normalized=True)
+        return cls(dim, radicand, np.eye(dim, dtype=np.int64), None, 1,
+                   _mag=(min(dim, 1), None))
 
     @classmethod
     def ones(cls, dim: int, radicand: int = 1) -> "ExactMatrix":
@@ -175,7 +275,7 @@ class ExactMatrix:
 
     @classmethod
     def from_int_array(cls, arr, radicand: int = 1) -> "ExactMatrix":
-        arr = _as_object(arr)
+        arr = np.asarray(arr)
         return cls(arr.shape[0], radicand, arr, None, 1)
 
     @classmethod
@@ -198,6 +298,7 @@ class ExactMatrix:
     # -- canonical form ------------------------------------------------------
 
     def _normalize(self) -> None:
+        ma, mb = self._mag
         if self.den < 0:
             self.ra = -self.ra
             if self.rb is not None:
@@ -206,17 +307,27 @@ class ExactMatrix:
         if self.rb is not None:
             s = perfect_square_root(self.radicand)
             if s is not None:
-                self.ra = self.ra + self.rb * s
-                self.rb = None
-            elif not self.rb.any():
-                self.rb = None
-        arrays = (self.ra,) if self.rb is None else (self.ra, self.rb)
-        g = _gcd_reduce(arrays, self.den)
+                ra, rb = _on_bound(max(ma + mb * s, s), self.ra, self.rb)
+                self.ra, ma = _canonical(ra + rb * s)
+                self.rb = mb = None
+            elif mb == 0:
+                self.rb = mb = None
+        g = self.den
+        for p in (self.ra,) if self.rb is None else (self.ra, self.rb):
+            flat = p.ravel()
+            # a short prefix usually brings g to 1, and then nothing more
+            # is read
+            for chunk in (flat[:4096], flat[4096:]):
+                if g > 1:
+                    g = math.gcd(g, int(np.gcd.reduce(chunk)))
         if g > 1:
-            self.ra = self.ra // g
-            if self.rb is not None:
-                self.rb = self.rb // g
+            # g divides every entry, so it is below 2^62 unless all vanish
+            ra, rb = _on_bound(g, self.ra, self.rb)
+            self.ra, ma = _canonical(ra // g, ma // g)
+            if rb is not None:
+                self.rb, mb = _canonical(rb // g, mb // g)
             self.den //= g
+        self._mag = (ma, mb)
 
     # -- elementwise access --------------------------------------------------
 
@@ -234,13 +345,12 @@ class ExactMatrix:
     # -- structural predicates -------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.ra.any() and (self.rb is None or not self.rb.any())
+        # a canonical sqrt(n) part is nonzero
+        return self.rb is None and self._mag[0] == 0
 
     def is_diagonal(self) -> bool:
-        off = ~np.eye(self.dim, dtype=bool)
-        if self.ra[off].any():
-            return False
-        return self.rb is None or not self.rb[off].any()
+        return all(np.count_nonzero(p) == np.count_nonzero(p.diagonal())
+                   for p in (self.ra, self.rb) if p is not None)
 
     def is_symmetric(self) -> bool:
         if not np.array_equal(self.ra, self.ra.T):
@@ -250,15 +360,15 @@ class ExactMatrix:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        # the canonical form (den > 0, gcd 1, rb dropped when it vanishes)
-        # is unique, so equal matrices have equal parts
-        if (self.dim, self.radicand, self.den) != (other.dim, other.radicand,
-                                                   other.den):
+        # the canonical form (den > 0, gcd 1, rb dropped when it vanishes,
+        # int64 exactly when the entries fit) is unique, so equal matrices
+        # have equal parts, with equal max |entry| and dtype
+        if ((self.dim, self.radicand, self.den, self._mag)
+                != (other.dim, other.radicand, other.den, other._mag)):
             return False
-        if (self.rb is None) != (other.rb is None):
-            return False
-        return (np.array_equal(self.ra, other.ra)
-                and (self.rb is None or np.array_equal(self.rb, other.rb)))
+        return all(np.array_equal(p, q)
+                   for p, q in ((self.ra, other.ra), (self.rb, other.rb))
+                   if p is not None)
 
     def __hash__(self) -> int:  # matrices are mutable-looking containers
         raise TypeError("ExactMatrix is unhashable")
@@ -288,12 +398,17 @@ class ExactMatrix:
                 den = math.lcm(den, m.den * cd)
         if not parts:
             return cls.zeros(dim, radicand)
-        # each term is brought to ``den`` and added in place, so no list of
-        # scaled N x N arrays is ever held
+        scaled = [(pa * (den // term_den), pb * (den // term_den) or None, m)
+                  for pa, pb, m, term_den in parts]
+        # one bound for the whole sum, so that either every term runs on
+        # int64 or every term runs on Python ints
+        bound = sum(_qprod_bound(_mags((ca, cb)), m._mag, radicand)
+                    for ca, cb, m in scaled)
+        # each term is added in place, so no list of scaled N x N arrays is
+        # ever held
         ra = rb = None
-        for pa, pb, m, term_den in parts:
-            f = den // term_den
-            ta, tb = _qprod(pa * f, pb * f or None, m.ra, m.rb, radicand,
+        for ca, cb, m in scaled:
+            ta, tb = _qprod(ca, cb, *_on_bound(bound, m.ra, m.rb), radicand,
                             operator.mul)
             ra = ta if ra is None else np.add(ra, ta, out=ra)
             if tb is not None:
@@ -311,52 +426,55 @@ class ExactMatrix:
     def __neg__(self) -> "ExactMatrix":
         return ExactMatrix(self.dim, self.radicand, -self.ra,
                            None if self.rb is None else -self.rb,
-                           self.den, _normalized=True)
+                           self.den, _mag=self._mag)
 
     def scale(self, c: QRootN | int | Fraction) -> "ExactMatrix":
         return ExactMatrix.combination(((c, self),), self.dim, self.radicand)
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         _check_conforming(self.dim, self.radicand, other)
-        x, y, mul = (self.ra, self.rb), (other.ra, other.rb), _int_dot
+        x, y, inner = (self.ra, self.rb), (other.ra, other.rb), self.dim
         # a diagonal operand reduces the product to a row or column scaling
         if self.is_diagonal():
             x = [None if p is None else p.diagonal()[:, None] for p in x]
-            mul = operator.mul
+            inner = None
         elif other.is_diagonal():
             y = [None if p is None else p.diagonal()[None, :] for p in y]
-            mul = operator.mul
-        ra, rb = _qprod(*x, *y, self.radicand, mul)
+            inner = None
+        ra, rb = _bounded_qprod(x, y, self.radicand, inner,
+                                (self._mag, other._mag))
         return ExactMatrix(self.dim, self.radicand, ra, rb, self.den * other.den)
 
     def schur(self, other: "ExactMatrix") -> "ExactMatrix":
         """Entrywise (Schur) product."""
         _check_conforming(self.dim, self.radicand, other)
-        ra, rb = _qprod(self.ra, self.rb, other.ra, other.rb, self.radicand,
-                        operator.mul)
+        ra, rb = _bounded_qprod((self.ra, self.rb), (other.ra, other.rb),
+                                self.radicand, mags=(self._mag, other._mag))
         return ExactMatrix(self.dim, self.radicand, ra, rb, self.den * other.den)
 
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(self.dim, self.radicand, self.ra.T.copy(),
                            None if self.rb is None else self.rb.T.copy(),
-                           self.den, _normalized=True)
+                           self.den, _mag=self._mag)
 
     @property
     def T(self) -> "ExactMatrix":
         return self.transpose()
 
     def trace(self) -> QRootN:
-        ta = sum(int(v) for v in self.ra.diagonal())
-        tb = 0 if self.rb is None else sum(int(v) for v in self.rb.diagonal())
+        ta = int(_scaled_sum(self.ra.diagonal(), axis=None))
+        tb = 0 if self.rb is None else int(_scaled_sum(self.rb.diagonal(),
+                                                       axis=None))
         return QRootN(Fraction(ta, self.den), Fraction(tb, self.den), self.radicand)
 
     # -- support masking -------------------------------------------------------
 
     def masked_support(self, support: np.ndarray) -> "ExactMatrix":
         """Zero rows and columns outside a boolean support vector."""
-        keep = np.outer(support, support).astype(int).astype(object)
-        return ExactMatrix(self.dim, self.radicand, self.ra * keep,
-                           None if self.rb is None else self.rb * keep, self.den)
+        keep = np.outer(support, support)
+        return ExactMatrix(self.dim, self.radicand, np.where(keep, self.ra, 0),
+                           None if self.rb is None else np.where(keep, self.rb, 0),
+                           self.den)
 
     # -- conversions -----------------------------------------------------------
 

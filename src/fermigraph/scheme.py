@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactmat import ExactMatrix
+from .exactmat import ExactMatrix, _scaled_sum
 from .graphs import SchemeGraph
 from .qroot import QRootN
 
@@ -187,9 +187,9 @@ def eigenmatrices(distance: list[ExactMatrix], idempotents: list[ExactMatrix],
         for j in range(d + 1):
             # P_ij f_i = trace(A_j E_i), the entry sum of A_j o E_i^T
             s = distance[j].schur(idempotents[i].T)
-            tr = QRootN(Fraction(int(s.ra.sum()), s.den),
-                        Fraction(0 if s.rb is None else int(s.rb.sum()), s.den),
-                        n)
+            tb = 0 if s.rb is None else int(_scaled_sum(s.rb, axis=None))
+            tr = QRootN(Fraction(int(_scaled_sum(s.ra, axis=None)), s.den),
+                        Fraction(tb, s.den), n)
             pmat[i][j] = tr * Fraction(1, multiplicities[i])
     qmat = [[None] * (d + 1) for _ in range(d + 1)]
     for j in range(d + 1):

@@ -10,13 +10,12 @@ All checks in this module are exact.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .exactmat import ExactMatrix, _int_dot, _qprod
+from .exactmat import ExactMatrix, _bounded_qprod, _scaled_sum
 from .qroot import QRootN
 from .scheme import SchemeError, SchemeTables
 
@@ -43,9 +42,9 @@ class TerwilligerBasis:
 def _row_diagonal(m: ExactMatrix, row: int, factor: int = 1) -> ExactMatrix:
     """The diagonal matrix whose diagonal is ``factor`` times row ``row`` of
     ``m``, read off m's integer arrays."""
-    rb = None if m.rb is None else np.diag(m.rb[row] * factor)
-    return ExactMatrix(m.dim, m.radicand, np.diag(m.ra[row] * factor), rb,
-                       m.den)
+    ra, rb = (None if p is None else np.diag(_scaled_sum(p[row], factor))
+              for p in (m.ra, m.rb))
+    return ExactMatrix(m.dim, m.radicand, ra, rb, m.den)
 
 
 def dual_idempotents(base_vertex: int,
@@ -169,20 +168,23 @@ def triple_vanishing_check(basis: TerwilligerBasis) -> TripleVanishingReport:
     parts = [_diagonal_parts(m, f"A*_{j}")
              for j, m in enumerate(basis.dual_distance)]
     den = math.lcm(*(p[2] for p in parts))
-    cols_a = np.stack([pa * (den // pd) for pa, _, pd in parts], axis=1)
+    cols_a = np.stack([_scaled_sum(pa, den // pd) for pa, _, pd in parts],
+                      axis=1)
     cols_b = None
     if any(pb is not None for _, pb, _ in parts):
-        cols_b = np.stack([np.zeros_like(pa) if pb is None else pb * (den // pd)
+        cols_b = np.stack([np.zeros_like(pa) if pb is None
+                           else _scaled_sum(pb, den // pd)
                            for pa, pb, pd in parts], axis=1)
     norms = {}
     for i in range(d + 1):
         for k in range(i, d + 1):
             s = t.idempotents[i].schur(t.idempotents[k])
-            sa, sb = _qprod(s.ra, s.rb, cols_a, cols_b, n, _int_dot)
-            qa, qb = _qprod(cols_a, cols_b, sa, sb, n, operator.mul)
+            sa, sb = _bounded_qprod((s.ra, s.rb), (cols_a, cols_b), n,
+                                    t.vertex_count)
+            qa, qb = _bounded_qprod((cols_a, cols_b), (sa, sb), n)
             norm_den = s.den * den * den
-            qa = qa.sum(axis=0)
-            qb = None if qb is None else qb.sum(axis=0)
+            qa = _scaled_sum(qa, axis=0)
+            qb = None if qb is None else _scaled_sum(qb, axis=0)
             norms[i, k] = norms[k, i] = [
                 QRootN(Fraction(int(qa[j]), norm_den),
                        Fraction(0 if qb is None else int(qb[j]), norm_den), n)

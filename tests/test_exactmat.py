@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermigraph.exactmat import (_FLOAT64_EXACT_LIMIT, DimensionMismatchError,
-                                 ExactMatrix, _int_dot, _max_abs,
-                                 anticommutator, commutator)
+                                 ExactMatrix, _bounded_qprod, _int_dot,
+                                 _max_abs, _scaled_sum, anticommutator,
+                                 commutator)
 from fermigraph.qroot import QRootN, RadicandMismatchError
+from fermigraph.terwilliger import _row_diagonal
 
 
 def random_exact(dim, radicand, rng, span=6, irrational=True):
@@ -204,8 +206,12 @@ def object_dot(x, y):
 
 
 def assert_same_ints(got, want):
-    assert got.dtype == object and got.shape == want.shape
-    assert all(type(v) is int for v in got.flat)
+    """``got`` holds exactly the integers of the Python-int reference
+    ``want``, as int64 or as an object array of Python ints."""
+    assert got.dtype in (np.dtype(np.int64), np.dtype(object))
+    assert got.shape == want.shape
+    if got.dtype == object:
+        assert all(type(v) is int for v in got.flat)
     assert got.tolist() == want.tolist()
 
 
@@ -372,3 +378,314 @@ def test_eq_agrees_with_zero_difference(arrays, radicand, den, scale_a, scale_b,
     if kind in ("same", "zero"):
         assert a == b
     assert not a == ExactMatrix(dim + 1, radicand, np.zeros((dim + 1,) * 2))
+
+
+# -- int64 storage: every bounded operation on both sides of 2^62 ---------------
+
+INT64_LIMIT = 2**62
+EDGE_VALUES = [2**62 - 1, 2**62, 2**63, -(2**63), 2**63 - 1, -(2**62), 2**64]
+
+
+def int_matrix(rows, radicand, sqrt_rows=None, den=1):
+    """ExactMatrix from nested lists of Python ints."""
+    ra = np.array(rows, dtype=object)
+    rb = None if sqrt_rows is None else np.array(sqrt_rows, dtype=object)
+    return ExactMatrix(len(rows), radicand, ra, rb, den)
+
+
+def values(m):
+    """Entries of m as QRootN, read off its arrays as Python ints."""
+    return [[m.entry(i, j) for j in range(m.dim)] for i in range(m.dim)]
+
+
+def assert_canonical(m, want):
+    """m holds exactly the Python-int reference values ``want`` (rows of
+    QRootN) in canonical form: den > 0 and coprime to the entries, the sqrt
+    part dropped when it vanishes, and each part int64 exactly when all its
+    entries lie below 2^62."""
+    assert values(m) == want
+    parts = [p for p in (m.ra, m.rb) if p is not None]
+    ints = [int(v) for p in parts for v in p.flat]
+    assert m.den > 0 and math.gcd(m.den, *ints) == 1
+    assert (m.rb is None) == all(v.b == 0 for row in want for v in row)
+    for p in parts:
+        fits = max((abs(int(v)) for v in p.flat), default=0) < INT64_LIMIT
+        assert p.dtype == (np.dtype(np.int64) if fits else np.dtype(object))
+        if not fits:
+            assert all(type(v) is int for v in p.flat)
+
+
+def python_product(x, y):
+    """Reference matmul on lists of QRootN (Python ints throughout)."""
+    n = len(x)
+    return [[sum((x[i][k] * y[k][j] for k in range(n)), QRootN(0, 0, x[0][0].n))
+             for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("value", [2**62 - 1, -(2**62 - 1), 2**62, -(2**62),
+                                   2**63 - 1, 2**63, -(2**63), 2**64])
+def test_storage_is_int64_exactly_below_2_62(value):
+    m = int_matrix([[value, 1], [0, -1]], 2)
+    assert m.ra.dtype == (np.int64 if abs(value) < INT64_LIMIT else object)
+    assert m.entry(0, 0) == QRootN(value, 0, 2)
+    assert_canonical(m, [[QRootN(value, 0, 2), QRootN(1, 0, 2)],
+                         [QRootN(0, 0, 2), QRootN(-1, 0, 2)]])
+    assert m == int_matrix([[value, 1], [0, -1]], 2)
+    assert (-m).ra.dtype == m.ra.dtype and m.T.ra.dtype == m.ra.dtype
+    assert m.trace() == QRootN(value - 1, 0, 2)
+    assert not m.is_zero() and not m.is_diagonal()
+
+
+@pytest.mark.parametrize("x", [2**31 - 1, 2**31, -(2**31)])
+def test_schur_bound_at_2_62(x):
+    # the Schur square holds x^2, which reaches 2^62 at |x| = 2^31
+    m = int_matrix([[x, 1], [1, x]], 3)
+    got = m.schur(m)
+    assert got.ra.dtype == (np.int64 if x * x < INT64_LIMIT else object)
+    assert_canonical(got, [[a * a for a in row] for row in values(m)])
+
+
+@pytest.mark.parametrize("radicand", [2, 3, 5, 12])
+@pytest.mark.parametrize("y_at", ["edge", "above", "far"])
+def test_sqrt_part_bound_multiplies_by_n(radicand, y_at):
+    # (y sqrt n) o (y sqrt n) = y^2 n: below 2^62 for y = isqrt((2^62-1)/n);
+    # at y = isqrt(2^62 - 1) it passes 2^63, so int64 would wrap
+    y = {"edge": math.isqrt((INT64_LIMIT - 1) // radicand),
+         "above": math.isqrt((INT64_LIMIT - 1) // radicand) + 1,
+         "far": math.isqrt(INT64_LIMIT - 1)}[y_at]
+    m = int_matrix([[0, 1], [1, 0]], radicand, [[y, 0], [0, -y]])
+    got = m.schur(m)
+    assert got.ra.dtype == (np.int64 if y_at == "edge" else object)
+    assert_canonical(got, [[a * a for a in row] for row in values(m)])
+    # the same bound through a dense product: inner dimension 2
+    dense = int_matrix([[1, 1], [1, 1]], radicand, [[y, y], [y, y]])
+    assert_canonical(dense @ dense, python_product(values(dense), values(dense)))
+
+
+def test_product_rule_bound_covers_the_radicand():
+    # n multiplies the product of the sqrt parts even when that product is
+    # zero, so n itself must fit int64
+    zero = np.zeros((2, 2), dtype=np.int64)
+    for n in (3, 2**64 + 1):
+        ra, rb = _bounded_qprod((zero, zero), (zero, zero), n, 2)
+        assert ra.tolist() == rb.tolist() == zero.tolist()
+
+
+@pytest.mark.parametrize("step", [-1, 0, 1])
+def test_dense_product_bound_at_2_62(step):
+    # every entry of [[x, x], [x, x]]^2 is 2 x^2
+    x = math.isqrt((INT64_LIMIT - 1) // 2) + step
+    m = int_matrix([[x, x], [x, -x]], 2)
+    got = m @ m
+    assert got.ra.dtype == (np.int64 if 2 * x * x < INT64_LIMIT else object)
+    assert_canonical(got, python_product(values(m), values(m)))
+
+
+@pytest.mark.parametrize("x, float_path", [(2**26 - 1, True), (2**26, False)])
+def test_dense_product_float_rule_returns_int64(x, float_path, monkeypatch):
+    # bound 2 x^2: below 2^53 the parts go to float64 BLAS, and the int64
+    # result is kept; at 2^53 they are checked one by one and run on Python
+    # ints, and the result returns to int64 storage
+    seen = []
+    real_dot = np.dot
+    monkeypatch.setattr(np, "dot",
+                        lambda a, b: seen.append(a.dtype) or real_dot(a, b))
+    m = int_matrix([[x, x], [x, -x]], 2)
+    got = m @ m
+    monkeypatch.undo()
+    assert set(seen) == {np.dtype(np.float64) if float_path else np.dtype(object)}
+    assert got.ra.dtype == np.int64
+    assert_canonical(got, python_product(values(m), values(m)))
+
+
+def test_int_dot_keeps_the_operand_dtype():
+    x = np.array([[3, -2], [1, 5]], dtype=np.int64)
+    assert _int_dot(x, x).dtype == np.int64
+    assert_same_ints(_int_dot(x.astype(object), x), object_dot(x, x))
+    assert _int_dot(x.astype(object), x).dtype == object
+
+
+@pytest.mark.parametrize("top", [2**61 - 1, 2**61])
+def test_combination_bound_sums_every_term(top):
+    a = int_matrix([[top, 0], [0, 1]], 5)
+    total = a + a
+    assert total.ra.dtype == (np.int64 if 2 * top < INT64_LIMIT else object)
+    assert_canonical(total, [[v + v for v in row] for row in values(a)])
+    # three terms at 2^62 - 1 sum past 2^63
+    edge = int_matrix([[2**62 - 1, 0], [0, 1]], 5)
+    assert_canonical(ExactMatrix.combination([(1, edge)] * 3, 2, 5),
+                     [[3 * v for v in row] for row in values(edge)])
+    # the bound is taken before the terms cancel: a - a has bound 2 top,
+    # yet its result is the canonical int64 zero
+    diff = a - a
+    assert diff.is_zero() and diff.ra.dtype == np.int64 and diff.den == 1
+    assert diff == ExactMatrix.zeros(2, 5)
+
+
+def test_combination_mixes_no_int64_accumulator_with_object_terms():
+    big = int_matrix([[2**63, 0], [0, 0]], 5)
+    small = int_matrix([[1, 2], [3, 4]], 5, [[1, 0], [0, 1]])
+    got = ExactMatrix.combination([(1, small), (QRootN(1, 1, 5), big),
+                                   (Fraction(1, 3), small)], 2, 5)
+    want = [[s + QRootN(1, 1, 5) * b + Fraction(1, 3) * s
+             for s, b in zip(rs, rb)]
+            for rs, rb in zip(values(small), values(big))]
+    assert_canonical(got, want)
+
+
+def test_combination_huge_coefficient_on_zero_matrix():
+    zero = ExactMatrix.zeros(2, 3)
+    ident = ExactMatrix.identity(2, 3)
+    got = ExactMatrix.combination([(2**70, zero), (QRootN(0, 2**65, 3), zero),
+                                   (1, ident)], 2, 3)
+    assert got == ident and got.ra.dtype == np.int64
+
+
+@pytest.mark.parametrize("radicand, ra, rb, dtype", [
+    (4, 2**61 - 2, 2**60, np.int64),    # fold gives 2^62 - 2
+    (4, 2**61, 2**60, object),          # fold gives 2^62
+    (4, -(2**61), -(2**60), object),    # fold gives -2^62
+    (4, 2**62 + 4, -(2**61), np.int64),  # an object part folds back to int64
+    (9, 2**62 - 1, 2**62 - 1, object),  # fold gives 4 (2^62 - 1), past 2^63
+    (9, 2**61 - 1, -(2**60), np.int64),
+])
+def test_perfect_square_fold_crosses_the_limit(radicand, ra, rb, dtype):
+    # sqrt(n) = s folds rb into ra: ra + s rb
+    s = math.isqrt(radicand)
+    m = int_matrix([[ra, 0], [0, 1]], radicand, [[rb, 0], [0, 0]])
+    assert m.rb is None and m.ra.dtype == dtype
+    assert_canonical(m, [[QRootN(ra + s * rb, 0, radicand), QRootN(0, 0, radicand)],
+                         [QRootN(0, 0, radicand), QRootN(1, 0, radicand)]])
+
+
+@pytest.mark.parametrize("den", [2**63, 2**64 + 6, -(2**70), 3 * 2**62])
+@pytest.mark.parametrize("with_rb", [False, True])
+def test_zero_matrix_with_huge_denominator(den, with_rb):
+    # the gcd of the entries and den is den itself, far outside int64
+    zeros = [[0, 0], [0, 0]]
+    m = int_matrix(zeros, 3, zeros if with_rb else None, den)
+    assert m.is_zero() and m.den == 1 and m.rb is None
+    assert m.ra.dtype == np.int64
+    assert m == ExactMatrix.zeros(2, 3)
+    m64 = ExactMatrix(2, 3, np.zeros((2, 2), dtype=np.int64),
+                      np.zeros((2, 2), dtype=np.int64) if with_rb else None, den)
+    assert m64 == m
+
+
+def test_gcd_division_returns_object_entries_to_int64():
+    m = int_matrix([[2**63, 3 * 2**63], [0, -(2**63)]], 2,
+                   [[2**64, 0], [0, 0]], den=2**70)
+    assert m.den == 2**7 and m.ra.dtype == np.int64 and m.rb.dtype == np.int64
+    assert m.ra.tolist() == [[1, 3], [0, -1]] and m.rb.tolist() == [[2, 0], [0, 0]]
+
+
+def test_gcd_reads_past_the_prefix():
+    # the prefix of a large array can share a factor with den that a later
+    # entry does not
+    ra = np.full((80, 80), 6, dtype=np.int64)
+    ra[-1, -1] = 9
+    m = ExactMatrix(80, 2, ra, None, 12)
+    assert m.den == 4 and m.ra[0, 0] == 2 and m.ra[-1, -1] == 3
+    ra[-1, -1] = 5
+    m = ExactMatrix(80, 2, ra, None, 12)
+    assert m.den == 12 and m.ra[-1, -1] == 5
+
+
+@pytest.mark.parametrize("diag", [[2**61, 2**61], [2**61 - 1, 2**61], [2**63, -1],
+                                  [2**62 - 1] * 3])
+def test_trace_sums_on_the_bounded_path(diag):
+    m = ExactMatrix.diagonal(diag, 2)
+    assert m.is_diagonal()
+    assert m.trace() == QRootN(sum(diag), 0, 2)
+
+
+@pytest.mark.parametrize("factor", [2**21, 2**22, -(2**22), 2**70])
+def test_row_diagonal_scaling_bound(factor):
+    m = int_matrix([[2**40, -(2**40)], [3, 0]], 5, [[1, 2**39], [0, 0]])
+    got = _row_diagonal(m, 0, factor)
+    want = [[QRootN(0, 0, 5)] * 2 for _ in range(2)]
+    for j in range(2):
+        want[j][j] = m.entry(0, j) * factor
+    assert got.is_diagonal()
+    assert_canonical(got, want)
+
+
+edge_ints = st.one_of(st.integers(-8, 8), st.sampled_from(EDGE_VALUES),
+                      st.integers(-(2**70), 2**70),
+                      st.integers(0, 64).flatmap(
+                          lambda e: st.sampled_from([2**e - 1, 2**e, -(2**e)])))
+
+
+@pytest.mark.parametrize("axis", [None, 0, 1])
+def test_scaled_sum_past_2_63(axis):
+    # nine entries of 2^62 - 1 (int64 storage) sum to about 9 * 2^62
+    arr = np.full((3, 3), 2**62 - 1, dtype=np.int64)
+    want = np.full((3, 3), 2**62 - 1, dtype=object).sum(axis=axis)
+    got = _scaled_sum(arr, axis=axis)
+    assert np.asarray(got).tolist() == np.asarray(want).tolist()
+    assert np.asarray(_scaled_sum(arr[0], -3)).tolist() == [-3 * (2**62 - 1)] * 3
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.sampled_from([None, 0, 1, ()]),
+       st.sampled_from([1, -1, 3, 2**31, 2**62, -(2**63), 2**70]))
+def test_scaled_sum_matches_python_ints(data, axis, factor):
+    rows, cols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    flat = data.draw(st.lists(edge_ints, min_size=rows * cols,
+                              max_size=rows * cols))
+    obj = np.array(flat, dtype=object).reshape(rows, cols)
+    arr = obj.astype(np.int64) if _max_abs(obj) < INT64_LIMIT else obj
+    got = _scaled_sum(arr, factor, axis)
+    want = (obj * factor).sum(axis=axis)
+    if axis is None:
+        assert int(got) == want
+    else:
+        assert got.dtype in (np.dtype(np.int64), np.dtype(object))
+        assert np.asarray(got).tolist() == np.asarray(want).tolist()
+
+
+@st.composite
+def edge_matrices(draw, dim, radicand):
+    """Integer matrices with entries at and around 2^62 and 2^63, and at
+    powers of two that put the product-rule bounds on either side of 2^62
+    and 2^53, over a denominator that may share factors with them."""
+    def part():
+        flat = draw(st.lists(edge_ints, min_size=dim * dim, max_size=dim * dim))
+        return np.array(flat, dtype=object).reshape(dim, dim)
+    rb = part() if draw(st.booleans()) else None
+    den = draw(st.sampled_from([1, 2, 3, -4, 2**31, 2**63]))
+    return ExactMatrix(dim, radicand, part(), rb, den)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3), st.sampled_from([2, 3, 5, 4, 9]), st.data())
+def test_bounded_operations_match_python_ints(dim, radicand, data):
+    a = data.draw(edge_matrices(dim, radicand))
+    b = data.draw(edge_matrices(dim, radicand))
+    va, vb = values(a), values(b)
+    for m, want in ((a, va), (b, vb)):
+        assert_canonical(m, want)
+    c = data.draw(st.sampled_from([1, -3, Fraction(5, 7), 2**62, 2**63 + 1,
+                                   QRootN(Fraction(1, 2), -(2**40), radicand)]))
+    grid = [(i, j) for i in range(dim) for j in range(dim)]
+    assert_canonical(a @ b, python_product(va, vb))
+    assert_canonical(a.schur(b), [[va[i][j] * vb[i][j] for j in range(dim)]
+                                  for i in range(dim)])
+    combo = ExactMatrix.combination([(1, a), (c, b), (-1, b)], dim, radicand)
+    assert_canonical(combo, [[va[i][j] + c * vb[i][j] - vb[i][j]
+                              for j in range(dim)] for i in range(dim)])
+    assert_canonical(a - b, [[va[i][j] - vb[i][j] for j in range(dim)]
+                             for i in range(dim)])
+    assert_canonical(-a, [[-v for v in row] for row in va])
+    assert_canonical(a.T, [[va[j][i] for j in range(dim)] for i in range(dim)])
+    assert a.trace() == sum((va[i][i] for i in range(dim)), QRootN(0, 0, radicand))
+    keep = np.array([k % 2 == 0 for k in range(dim)])
+    assert_canonical(a.masked_support(keep),
+                     [[va[i][j] if keep[i] and keep[j] else QRootN(0, 0, radicand)
+                       for j in range(dim)] for i in range(dim)])
+    assert (a == b) == all(va[i][j] == vb[i][j] for i, j in grid)
+    assert a.is_zero() == all(va[i][j] == 0 for i, j in grid)
+    assert a.is_diagonal() == all(va[i][j] == 0 for i, j in grid if i != j)
+    d = ExactMatrix.diagonal([va[i][i] for i in range(dim)], radicand)
+    assert_canonical(d @ b, python_product(values(d), vb))
+    assert_canonical(b @ d, python_product(vb, values(d)))
