@@ -38,11 +38,10 @@ its parts' max |entry| (``_mag``), so bounding a product reads no array:
   ``trace``: ``_scaled_sum`` bounds ``|factor| * max|entry| * terms``.
 
 A dense matmul whose product-rule bound is below 2^53 runs its part
-products on float64 BLAS, where every partial sum is an exactly
-representable integer.  Above that, each part product is checked on its own
-(``_int_dot``) and falls back to the object product when its
-``max|x| * max|y| * N`` reaches 2^53.  A result that lands on Python ints
-returns to int64 storage as soon as its entries fit again.
+products on float64 BLAS (``_float_dot``), where every partial sum is an
+exactly representable integer; from 2^53 to 2^62 they run on int64, and
+from 2^62 on on Python ints.  A result that lands on Python ints returns to
+int64 storage as soon as its entries fit again.
 """
 
 from __future__ import annotations
@@ -119,37 +118,18 @@ def _scaled_sum(arr: np.ndarray, factor: int = 1, axis=()):
     return (arr * factor).sum(axis=axis)
 
 
-def _int_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Exact integer matrix product ``x @ y``.
-
-    With ``mx = max|x|`` and ``my = max|y|`` taken as Python ints and inner
-    dimension ``N``, every product ``x[i,k] * y[k,j]`` is an integer of
-    magnitude at most ``mx * my``, and every sum of any subset of the ``N``
-    products that make up one entry has magnitude at most ``mx * my * N``.
-    When that is below 2^53, float64 holds each of these integers exactly,
-    so a classical float64 gemm returns the exact result whatever its
-    summation order, blocking or use of fused multiply-add: every rounding
-    step rounds an exact integer to itself.  Above the bound, or when an
-    entry lies outside int64, the product runs on Python ints.
-
-    The result is int64 when both operands are, and an object array of
-    Python ints otherwise, so a caller on the object path stays on it.
-    """
-    try:
-        xi, yi = x.astype(np.int64, copy=False), y.astype(np.int64, copy=False)
-    except OverflowError:
-        return np.dot(_as_object(x), _as_object(y))
-    if _max_abs(xi) * _max_abs(yi) * x.shape[-1] >= _FLOAT64_EXACT_LIMIT:
-        return np.dot(_as_object(x), _as_object(y))
-    out = _float_dot(xi, yi)
-    if x.dtype == y.dtype == np.int64:
-        return out
-    return out.astype(object)
-
-
 def _float_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``x @ y`` on float64 BLAS, for int64 operands whose product is known
-    to satisfy the 2^53 bound of ``_int_dot``."""
+    """Exact integer matrix product ``x @ y`` on float64 BLAS, for operands
+    with ``max|x| * max|y| * N < 2^53`` (``N`` the inner dimension).
+
+    Every product ``x[i,k] * y[k,j]`` is then an integer of magnitude at
+    most ``max|x| * max|y|``, and every sum of any subset of the ``N``
+    products that make up one entry has magnitude below 2^53.  float64
+    holds each of these integers exactly, so a classical float64 gemm
+    returns the exact result whatever its summation order, blocking or use
+    of fused multiply-add: every rounding step rounds an exact integer to
+    itself.  The result is int64.
+    """
     return np.dot(x.astype(np.float64), y.astype(np.float64)).astype(np.int64)
 
 
@@ -195,8 +175,9 @@ def _bounded_qprod(x, y, n: int, inner: int | None = None, mags=None):
     """``_qprod`` of parts x = (xa, xb), y = (ya, yb): elementwise (with
     broadcasting) when ``inner`` is None, else the matrix product with
     inner dimension ``inner``.  It runs on int64 when its bound allows, else
-    on Python ints.  A bound below 2^53 also bounds each of the four part
-    products, so they go to float64 BLAS without a check of their own.
+    on Python ints (``_on_bound``).  A bound below 2^53 also bounds each of
+    the four part products, so a matrix product then runs them on float64
+    BLAS (``_float_dot``).
     ``mags`` is ``(_mags(x), _mags(y))`` when the caller knows it."""
     mx, my = mags or (_mags(x), _mags(y))
     bound = _qprod_bound(mx, my, n, inner or 1)
@@ -204,7 +185,7 @@ def _bounded_qprod(x, y, n: int, inner: int | None = None, mags=None):
     if inner is None:
         mul = operator.mul
     else:
-        mul = _float_dot if bound < _FLOAT64_EXACT_LIMIT else _int_dot
+        mul = _float_dot if bound < _FLOAT64_EXACT_LIMIT else np.dot
     return _qprod(*x_and_y, n, mul)
 
 
@@ -313,13 +294,9 @@ class ExactMatrix:
             elif mb == 0:
                 self.rb = mb = None
         g = self.den
-        for p in (self.ra,) if self.rb is None else (self.ra, self.rb):
-            flat = p.ravel()
-            # a short prefix usually brings g to 1, and then nothing more
-            # is read
-            for chunk in (flat[:4096], flat[4096:]):
-                if g > 1:
-                    g = math.gcd(g, int(np.gcd.reduce(chunk)))
+        for p in (self.ra, self.rb):
+            if p is not None and g > 1:
+                g = math.gcd(g, int(np.gcd.reduce(p, axis=None)))
         if g > 1:
             # g divides every entry, so it is below 2^62 unless all vanish
             ra, rb = _on_bound(g, self.ra, self.rb)

@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermigraph.exactmat import (_FLOAT64_EXACT_LIMIT, DimensionMismatchError,
-                                 ExactMatrix, _bounded_qprod, _int_dot,
-                                 _max_abs, _scaled_sum, anticommutator,
-                                 commutator)
+                                 ExactMatrix, _bounded_qprod, _max_abs,
+                                 _scaled_sum, anticommutator, commutator)
 from fermigraph.qroot import QRootN, RadicandMismatchError
 from fermigraph.terwilliger import _row_diagonal
 
@@ -200,6 +199,13 @@ def test_equality_independent_of_representation():
 
 # -- exact integer kernel ------------------------------------------------------
 
+def int_dot(x, y):
+    """``x @ y`` through the bounded product rule, with no sqrt(n) parts."""
+    ra, rb = _bounded_qprod((x, None), (y, None), 1, x.shape[1])
+    assert rb is None
+    return ra
+
+
 def object_dot(x, y):
     """Reference product on Python ints."""
     return np.dot(np.asarray(x, dtype=object), np.asarray(y, dtype=object))
@@ -244,7 +250,7 @@ def bounded_operands(draw, above: bool):
 def test_int_dot_exact_just_below_bound(operands):
     x, y = operands
     assert _max_abs(x) * _max_abs(y) * x.shape[1] < _FLOAT64_EXACT_LIMIT
-    assert_same_ints(_int_dot(x, y), object_dot(x, y))
+    assert_same_ints(int_dot(x, y), object_dot(x, y))
 
 
 @settings(max_examples=60, deadline=None)
@@ -252,7 +258,7 @@ def test_int_dot_exact_just_below_bound(operands):
 def test_int_dot_exact_at_and_above_bound(operands):
     x, y = operands
     assert _max_abs(x) * _max_abs(y) * x.shape[1] >= _FLOAT64_EXACT_LIMIT
-    assert_same_ints(_int_dot(x, y), object_dot(x, y))
+    assert_same_ints(int_dot(x, y), object_dot(x, y))
 
 
 @pytest.mark.parametrize("inner, float_path", [(7, True), (8, False)])
@@ -264,7 +270,7 @@ def test_int_dot_switches_path_at_bound(inner, float_path, monkeypatch):
                         lambda a, b: seen.append(a.dtype) or real_dot(a, b))
     x = np.full((2, inner), 2**25, dtype=object)
     y = np.full((inner, 3), -(2**25), dtype=object)
-    out = _int_dot(x, y)
+    out = int_dot(x, y)
     assert seen == [np.dtype(np.float64) if float_path else np.dtype(object)]
     monkeypatch.undo()
     assert_same_ints(out, object_dot(x, y))
@@ -278,7 +284,7 @@ def test_int_dot_extreme_entries_fall_back(big):
     y = rng.integers(-3, 4, (3, 3)).astype(object)
     x[1, 2] = big
     y[2, 0] = big
-    assert_same_ints(_int_dot(x, y), object_dot(x, y))
+    assert_same_ints(int_dot(x, y), object_dot(x, y))
     a = ExactMatrix(3, 1, x)
     b = ExactMatrix(3, 1, y)
     assert a @ b == entrywise_product(a, b)
@@ -481,11 +487,11 @@ def test_dense_product_bound_at_2_62(step):
     assert_canonical(got, python_product(values(m), values(m)))
 
 
-@pytest.mark.parametrize("x, float_path", [(2**26 - 1, True), (2**26, False)])
-def test_dense_product_float_rule_returns_int64(x, float_path, monkeypatch):
-    # bound 2 x^2: below 2^53 the parts go to float64 BLAS, and the int64
-    # result is kept; at 2^53 they are checked one by one and run on Python
-    # ints, and the result returns to int64 storage
+@pytest.mark.parametrize("x, kernel", [(2**26 - 1, np.float64), (2**26, np.int64),
+                                       (2**31, object)])
+def test_dense_product_kernel_follows_the_bound(x, kernel, monkeypatch):
+    # bound 2 x^2: below 2^53 the parts go to float64 BLAS, below 2^62 they
+    # are multiplied on int64, and from 2^62 on on Python ints
     seen = []
     real_dot = np.dot
     monkeypatch.setattr(np, "dot",
@@ -493,16 +499,9 @@ def test_dense_product_float_rule_returns_int64(x, float_path, monkeypatch):
     m = int_matrix([[x, x], [x, -x]], 2)
     got = m @ m
     monkeypatch.undo()
-    assert set(seen) == {np.dtype(np.float64) if float_path else np.dtype(object)}
-    assert got.ra.dtype == np.int64
+    assert set(seen) == {np.dtype(kernel)}
+    assert got.ra.dtype == (np.int64 if 2 * x * x < INT64_LIMIT else object)
     assert_canonical(got, python_product(values(m), values(m)))
-
-
-def test_int_dot_keeps_the_operand_dtype():
-    x = np.array([[3, -2], [1, 5]], dtype=np.int64)
-    assert _int_dot(x, x).dtype == np.int64
-    assert_same_ints(_int_dot(x.astype(object), x), object_dot(x, x))
-    assert _int_dot(x.astype(object), x).dtype == object
 
 
 @pytest.mark.parametrize("top", [2**61 - 1, 2**61])
@@ -579,9 +578,9 @@ def test_gcd_division_returns_object_entries_to_int64():
     assert m.ra.tolist() == [[1, 3], [0, -1]] and m.rb.tolist() == [[2, 0], [0, 0]]
 
 
-def test_gcd_reads_past_the_prefix():
-    # the prefix of a large array can share a factor with den that a later
-    # entry does not
+def test_gcd_reads_every_entry():
+    # the first entries of a large array can share a factor with den that
+    # the last entry does not
     ra = np.full((80, 80), 6, dtype=np.int64)
     ra[-1, -1] = 9
     m = ExactMatrix(80, 2, ra, None, 12)
