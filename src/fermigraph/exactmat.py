@@ -24,7 +24,9 @@ equal dtypes.  No int64 operation runs on trust.  Each one first bounds the
 magnitude of its result, and of every partial sum on the way, from the
 operands' max |entry|, and runs on Python ints unless that bound is below
 2^62 (``_on_bound``, the one place the choice is made).  Each matrix keeps
-its parts' max |entry| (``_mag``), so bounding a product reads no array:
+its parts' max |entry| (``_mag``), so bounding a product reads no array.
+The constructor sets it from the canonical parts, and only negation and
+transpose, which keep every |entry|, carry it over:
 
 - the product rule in ``_bounded_qprod``: ``inner * (|a||c| + |b||d| n)``
   for the rational part and ``inner * (|a||d| + |b||c|)`` for the sqrt(n)
@@ -216,39 +218,32 @@ class ExactMatrix:
 
     __slots__ = ("dim", "radicand", "den", "ra", "rb", "_mag")
 
-    def __init__(self, dim: int, radicand: int, ra, rb=None, den: int = 1,
-                 _mag: tuple | None = None) -> None:
+    def __init__(self, dim: int, radicand: int, ra, rb=None,
+                 den: int = 1) -> None:
         if den == 0:
             raise ZeroDivisionError("zero denominator")
         self.dim = dim
         self.radicand = radicand
         self.den = den
-        # ``_mag`` holds the parts' max |entry| (see ``_mags``); callers pass
-        # it only with arrays that are already in canonical form
-        if _mag is None:
-            self.ra, ma = _canonical(ra)
-            self.rb, mb = (None, None) if rb is None else _canonical(rb)
-            self._mag = (ma, mb)
-        else:
-            self.ra, self.rb, self._mag = ra, rb, _mag
+        # ``_mag`` holds the parts' max |entry| (see ``_mags``)
+        self.ra, ma = _canonical(ra)
+        self.rb, mb = (None, None) if rb is None else _canonical(rb)
+        self._mag = (ma, mb)
         if self.ra.shape != (dim, dim):
             raise DimensionMismatchError(f"expected {(dim, dim)} got {self.ra.shape}")
         if self.rb is not None and self.rb.shape != (dim, dim):
             raise DimensionMismatchError("rational/irrational shapes differ")
-        if _mag is None:
-            self._normalize()
+        self._normalize()
 
     # -- construction --------------------------------------------------------
 
     @classmethod
     def zeros(cls, dim: int, radicand: int = 1) -> "ExactMatrix":
-        return cls(dim, radicand, np.zeros((dim, dim), dtype=np.int64), None, 1,
-                   _mag=(0, None))
+        return cls(dim, radicand, np.zeros((dim, dim), dtype=np.int64))
 
     @classmethod
     def identity(cls, dim: int, radicand: int = 1) -> "ExactMatrix":
-        return cls(dim, radicand, np.eye(dim, dtype=np.int64), None, 1,
-                   _mag=(min(dim, 1), None))
+        return cls(dim, radicand, np.eye(dim, dtype=np.int64))
 
     @classmethod
     def ones(cls, dim: int, radicand: int = 1) -> "ExactMatrix":
@@ -305,6 +300,15 @@ class ExactMatrix:
                 self.rb, mb = _canonical(rb // g, mb // g)
             self.den //= g
         self._mag = (ma, mb)
+
+    def _rearranged(self, ra, rb) -> "ExactMatrix":
+        """This matrix with parts ``ra``, ``rb`` that hold its entries
+        negated or moved: they keep its canonical form, den and max |entry|,
+        so nothing is read or normalized again."""
+        out = object.__new__(ExactMatrix)
+        out.dim, out.radicand, out.den = self.dim, self.radicand, self.den
+        out.ra, out.rb, out._mag = ra, rb, self._mag
+        return out
 
     # -- elementwise access --------------------------------------------------
 
@@ -401,9 +405,7 @@ class ExactMatrix:
                                        self.radicand)
 
     def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix(self.dim, self.radicand, -self.ra,
-                           None if self.rb is None else -self.rb,
-                           self.den, _mag=self._mag)
+        return self._rearranged(-self.ra, None if self.rb is None else -self.rb)
 
     def scale(self, c: QRootN | int | Fraction) -> "ExactMatrix":
         return ExactMatrix.combination(((c, self),), self.dim, self.radicand)
@@ -430,9 +432,8 @@ class ExactMatrix:
         return ExactMatrix(self.dim, self.radicand, ra, rb, self.den * other.den)
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(self.dim, self.radicand, self.ra.T.copy(),
-                           None if self.rb is None else self.rb.T.copy(),
-                           self.den, _mag=self._mag)
+        return self._rearranged(self.ra.T.copy(),
+                                None if self.rb is None else self.rb.T.copy())
 
     @property
     def T(self) -> "ExactMatrix":

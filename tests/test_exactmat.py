@@ -408,8 +408,11 @@ def assert_canonical(m, want):
     """m holds exactly the Python-int reference values ``want`` (rows of
     QRootN) in canonical form: den > 0 and coprime to the entries, the sqrt
     part dropped when it vanishes, and each part int64 exactly when all its
-    entries lie below 2^62."""
+    entries lie below 2^62; the kept max |entry| of each part is exact."""
     assert values(m) == want
+    assert m._mag == tuple(None if p is None else
+                           max((abs(int(v)) for v in p.flat), default=0)
+                           for p in (m.ra, m.rb))
     parts = [p for p in (m.ra, m.rb) if p is not None]
     ints = [int(v) for p in parts for v in p.flat]
     assert m.den > 0 and math.gcd(m.den, *ints) == 1
