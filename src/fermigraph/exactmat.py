@@ -23,10 +23,8 @@ otherwise; this dtype is part of the canonical form, so equal matrices have
 equal dtypes.  No int64 operation runs on trust.  Each one first bounds the
 magnitude of its result, and of every partial sum on the way, from the
 operands' max |entry|, and runs on Python ints unless that bound is below
-2^62 (``_on_bound``, the one place the choice is made).  Each matrix keeps
-its parts' max |entry| (``_mag``), so bounding a product reads no array.
-The constructor sets it from the canonical parts, and only negation and
-transpose, which keep every |entry|, carry it over:
+2^62 (``_on_bound``, the one place the choice is made).  The bounds are
+proven in:
 
 - the product rule in ``_bounded_qprod``: ``inner * (|a||c| + |b||d| n)``
   for the rational part and ``inner * (|a||d| + |b||c|)`` for the sqrt(n)
@@ -38,6 +36,10 @@ transpose, which keep every |entry|, carry it over:
   ``_normalize`` (that gcd exceeds 2^62 only when every entry is zero);
 - scalings and entry sums read off the arrays by other modules and by
   ``trace``: ``_scaled_sum`` bounds ``|factor| * max|entry| * terms``.
+
+Each matrix keeps its parts' max |entry| (``_mag``), so bounding a product
+reads no array: the constructor sets it from the canonical parts, and only
+negation and transpose, which keep every |entry|, carry it over.
 
 A dense matmul whose product-rule bound is below 2^53 runs its part
 products on float64 BLAS (``_float_dot``), where every partial sum is an
