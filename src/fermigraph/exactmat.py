@@ -28,8 +28,9 @@ proven in:
 
 - the product rule in ``_bounded_qprod``: ``inner * (|a||c| + |b||d| n)``
   for the rational part and ``inner * (|a||d| + |b||c|)`` for the sqrt(n)
-  part, with ``inner`` the inner dimension of ``@`` and 1 for diagonal
-  scalings and ``schur``;
+  part, with ``inner`` the inner dimension of ``@``, N^2 for the entry sum
+  of a Schur product (``_schur_sum``) and 1 for diagonal scalings and
+  ``schur``;
 - ``combination``: the sum of every term's product-rule bound, taken before
   any term is added, so an int64 accumulator never meets an object term;
 - the perfect-square fold ``ra + rb * s`` and the division by the gcd in
@@ -467,6 +468,18 @@ class ExactMatrix:
     def __repr__(self) -> str:
         kind = "rational" if self.rb is None else f"sqrt({self.radicand})"
         return f"ExactMatrix(dim={self.dim}, radicand={self.radicand}, {kind}, den={self.den})"
+
+
+def _schur_sum(x: ExactMatrix, y: ExactMatrix) -> QRootN:
+    """The entry sum of x o y, as one dot product of the flattened parts
+    (inner dimension N^2), so no N x N array is formed."""
+    _check_conforming(x.dim, x.radicand, y)
+    flat = [tuple(None if p is None else p.reshape(shape) for p in (m.ra, m.rb))
+            for m, shape in ((x, (1, -1)), (y, (-1, 1)))]
+    sa, sb = _bounded_qprod(*flat, x.radicand, x.dim * x.dim, (x._mag, y._mag))
+    den = x.den * y.den
+    return QRootN(Fraction(int(sa[0, 0]), den),
+                  Fraction(0 if sb is None else int(sb[0, 0]), den), x.radicand)
 
 
 def commutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:

@@ -7,6 +7,17 @@ Q, Krein parameters, valencies and multiplicities.  Every structure constant
 is extracted from a representative entry and then re-verified by exact
 reconstruction; nothing is trusted from a partial check.
 
+The (d+1)-sized tables are computed and checked as small exact matrices
+(integer arrays over one denominator), one product rule per table rather
+than one Q(sqrt(n)) scalar operation per entry: the representative entries
+U of the idempotents (Q = N U), P Q = N I as the product P U = I, and the
+whole Krein table as the product of P with the A-basis coefficients
+U[m][i] U[m][j] of every E_i o E_j.  The N x N reconstructions (A_j from
+P, E_j from Q, each E_i o E_j from the Krein table) stay dense and exact,
+and so does the entry sum of A_j o E_i that gives P, taken as one dot
+product of the integer parts.  ``terwilliger.triple_vanishing_check``
+compares its norms with the Krein table on integer arrays too.
+
 Conventions: idempotents are ordered by the supplied eigenvalue list (for the
 graphs built here that is the self-dual ordering with the valency first), and
 the Krein parameters follow E_i o E_j = (1/N) sum_k q_ij^k E_k, which is the
@@ -22,7 +33,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactmat import ExactMatrix, _scaled_sum
+from .exactmat import ExactMatrix, _bounded_qprod, _schur_sum
 from .graphs import SchemeGraph
 from .qroot import QRootN
 
@@ -175,70 +186,92 @@ def intersection_array(p_numbers) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return b, c
 
 
+def _representative_table(distance: list[ExactMatrix],
+                          idempotents: list[ExactMatrix]) -> ExactMatrix:
+    """U[m][j] = (E_j)_xy at the representative pair (x, y) of distance m,
+    read off the idempotents' integer entries into one small exact matrix."""
+    reps = _representative_pairs(distance)
+    return ExactMatrix.from_scalars(
+        [[e.entry(x, y) for e in idempotents] for x, y in reps],
+        distance[0].radicand)
+
+
+def _reshaped(m: ExactMatrix, *shape: int) -> tuple:
+    """``m``'s integer parts (ra, rb) reshaped to ``shape``."""
+    return tuple(None if p is None else p.reshape(shape) for p in (m.ra, m.rb))
+
+
 def eigenmatrices(distance: list[ExactMatrix], idempotents: list[ExactMatrix],
                   multiplicities: list[int]) -> tuple[list, list]:
-    """Change-of-basis matrices: A_j = sum_i P_ij E_i, E_j = (1/N) sum_i Q_ij A_i."""
+    """Change-of-basis matrices: A_j = sum_i P_ij E_i, E_j = (1/N) sum_i Q_ij A_i.
+
+    P_ij f_i = trace(A_j E_i) is the entry sum of A_j o E_i, since E_i is
+    symmetric.  Q = N U, with U the table of representative entries of the
+    idempotents (``_representative_table``), so P Q = N I is the one small
+    product P U = I; it is checked before the two N x N reconstructions.
+    """
     d = len(distance) - 1
     n = distance[0].radicand
     bign = distance[0].dim
-    reps = _representative_pairs(distance)
     pmat = [[None] * (d + 1) for _ in range(d + 1)]
     for i in range(d + 1):
         for j in range(d + 1):
-            # P_ij f_i = trace(A_j E_i), the entry sum of A_j o E_i^T
-            s = distance[j].schur(idempotents[i].T)
-            tb = 0 if s.rb is None else int(_scaled_sum(s.rb, axis=None))
-            tr = QRootN(Fraction(int(_scaled_sum(s.ra, axis=None)), s.den),
-                        Fraction(tb, s.den), n)
-            pmat[i][j] = tr * Fraction(1, multiplicities[i])
-    qmat = [[None] * (d + 1) for _ in range(d + 1)]
-    for j in range(d + 1):
-        for i, (x, y) in enumerate(reps):
-            qmat[i][j] = idempotents[j].entry(x, y) * bign
-    # verify both relations and P Q = N I exactly
+            s = _schur_sum(distance[j], idempotents[i])
+            pmat[i][j] = QRootN(s.a / multiplicities[i],
+                                s.b / multiplicities[i], n)
+    u = _representative_table(distance, idempotents)
+    # the small products run the product rule on the integer parts; ``@`` is
+    # left to the N x N products
+    p = ExactMatrix.from_scalars(pmat, n)
+    pu = _bounded_qprod((p.ra, p.rb), (u.ra, u.rb), n, d + 1)
+    if ExactMatrix(d + 1, n, *pu, p.den * u.den) != ExactMatrix.identity(d + 1, n):
+        raise SchemeError("P Q != N I")
+    umat = [[u.entry(i, j) for j in range(d + 1)] for i in range(d + 1)]
     for j in range(d + 1):
         recon_a = ExactMatrix.combination(
             [(pmat[i][j], idempotents[i]) for i in range(d + 1)], bign, n)
         if recon_a != distance[j]:
             raise SchemeError(f"A_{j} != sum_i P_ij E_i")
         recon_e = ExactMatrix.combination(
-            [(qmat[i][j] * Fraction(1, bign), distance[i]) for i in range(d + 1)],
-            bign, n)
+            [(umat[i][j], distance[i]) for i in range(d + 1)], bign, n)
         if recon_e != idempotents[j]:
             raise SchemeError(f"E_{j} != (1/N) sum_i Q_ij A_i")
-    for i in range(d + 1):
-        for j in range(d + 1):
-            acc = QRootN(0, 0, n)
-            for m in range(d + 1):
-                acc = acc + pmat[i][m] * qmat[m][j]
-            if acc != (bign if i == j else 0):
-                raise SchemeError("P Q != N I")
-    return pmat, qmat
+    return pmat, [[QRootN(v.a * bign, v.b * bign, n) for v in row] for row in umat]
 
 
 def krein_parameters(distance: list[ExactMatrix], idempotents: list[ExactMatrix],
                      pmat) -> list:
-    """q_ij^k from Schur products, convention E_i o E_j = (1/N) sum_k q_ij^k E_k."""
+    """q_ij^k from Schur products, convention E_i o E_j = (1/N) sum_k q_ij^k E_k.
+
+    At the representative pair of distance m, (E_i o E_j)_xy = U[m][i] U[m][j]
+    (U as in ``eigenmatrices``), so E_i o E_j = sum_m U[m][i] U[m][j] A_m and,
+    with A_m = sum_k P_km E_k, q_ij^k / N = sum_m P_km U[m][i] U[m][j].  The
+    whole table is that one small product; then each E_i o E_j is formed, one
+    at a time, and checked against its expansion exactly.
+    """
     d = len(distance) - 1
     n = distance[0].radicand
     bign = distance[0].dim
-    reps = _representative_pairs(distance)
-    table = [[[None] * (d + 1) for _ in range(d + 1)] for _ in range(d + 1)]
+    u = _representative_table(distance, idempotents)
+    # c[m, i, j] = U[m][i] U[m][j], flattened over (i, j)
+    ca, cb = _bounded_qprod(_reshaped(u, d + 1, d + 1, 1),
+                            _reshaped(u, d + 1, 1, d + 1), n)
+    ca, cb = (None if c is None else c.reshape(d + 1, -1) for c in (ca, cb))
+    p = ExactMatrix.from_scalars(pmat, n)
+    qa, qb = _bounded_qprod((p.ra, p.rb), (ca, cb), n, d + 1)
+    qa, qb = (None if q is None else q.reshape(d + 1, d + 1, d + 1)
+              for q in (qa, qb))
+    table = [[None] * (d + 1) for _ in range(d + 1)]
     for i in range(d + 1):
+        # q_ij^k / N at [k][j]
+        plane = ExactMatrix(d + 1, n, qa[:, i], None if qb is None else qb[:, i],
+                            p.den * u.den * u.den)
         for j in range(i, d + 1):
-            schur = idempotents[i].schur(idempotents[j])
-            # expand in the A basis from representative entries, then convert
-            coeffs = [schur.entry(x, y) for (x, y) in reps]
-            for k in range(d + 1):
-                acc = QRootN(0, 0, n)
-                for m in range(d + 1):
-                    acc = acc + coeffs[m] * pmat[k][m]
-                q = acc * bign
-                table[i][j][k] = table[j][i][k] = q
-            recon = ExactMatrix.combination(
-                [(q * Fraction(1, bign), e) for q, e in zip(table[i][j], idempotents)],
-                bign, n)
-            if recon != schur:
+            coeffs = [plane.entry(k, j) for k in range(d + 1)]
+            table[i][j] = table[j][i] = [QRootN(c.a * bign, c.b * bign, n)
+                                         for c in coeffs]
+            recon = ExactMatrix.combination(zip(coeffs, idempotents), bign, n)
+            if recon != idempotents[i].schur(idempotents[j]):
                 raise SchemeError(f"E_{i} o E_{j} reconstruction failed")
     return table
 
@@ -290,6 +323,8 @@ def build_scheme(graph: SchemeGraph) -> SchemeTables:
         raise SchemeError("need exactly d+1 distinct eigenvalues")
     idem = lagrange_idempotents(dist[1], thetas)
     for k, e in enumerate(idem):
+        if not e.is_symmetric():
+            raise SchemeError(f"E_{k} is not symmetric")
         if e @ e != e:
             raise SchemeError(f"E_{k} is not idempotent (wrong eigenvalue list?)")
     if ExactMatrix.combination([(1, e) for e in idem], bign, n) != ident:

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .exactmat import ExactMatrix, _bounded_qprod, _scaled_sum
+from .exactmat import (ExactMatrix, _bounded_qprod, _canonical,
+                       _over_common_den, _scaled_sum)
 from .qroot import QRootN
 from .scheme import SchemeError, SchemeTables
 
@@ -115,6 +115,22 @@ def _diagonal_parts(m: ExactMatrix, name: str):
     return (m.ra.diagonal(), None if m.rb is None else m.rb.diagonal(), m.den)
 
 
+def _nonzero(parts) -> np.ndarray:
+    """Where the value with integer parts (a, b) is nonzero."""
+    a, b = parts
+    return (a != 0) if b is None else (a != 0) | (b != 0)
+
+
+def _parts_equal(x, y) -> np.ndarray:
+    """Where x == y, for values given as integer parts (a, b) over one
+    denominator; a ``None`` part is zero."""
+    (xa, xb), (ya, yb) = x, y
+    same = xa == ya
+    if xb is not None or yb is not None:
+        same &= (0 if xb is None else xb) == (0 if yb is None else yb)
+    return same
+
+
 def triple_vanishing_check(basis: TerwilligerBasis) -> TripleVanishingReport:
     """E*_i A_j E*_k = 0 iff p_ij^k = 0, and E_i A*_j E_k = 0 iff q_ij^k = 0,
     for every triple (i, j, k).  Violations are collected, not raised.
@@ -143,7 +159,9 @@ def triple_vanishing_check(basis: TerwilligerBasis) -> TripleVanishingReport:
     or when it vanishes and q_ij^k does not, or the other way round.  It is
     zero iff E_i A*_j E_k is, so the second test is the zero test of the
     product itself.  Each unordered pair (i, k) costs one Schur product and
-    one N x (d+1) integer product.
+    one N x (d+1) integer product; the norms are then compared with the
+    Krein table, and their zero pattern with its zero pattern, as integer
+    arrays of all (d+1)^3 triples at once.
     """
     t = basis.tables
     d = t.diameter
@@ -175,27 +193,37 @@ def triple_vanishing_check(basis: TerwilligerBasis) -> TripleVanishingReport:
         cols_b = np.stack([np.zeros_like(pa) if pb is None
                            else _scaled_sum(pb, den // pd)
                            for pa, pb, pd in parts], axis=1)
-    norms = {}
+    # the squared norm of E_i A*_j E_k at [i, k, j], over a denominator
+    # that depends on (i, k) only, at [i, k, 0]
+    shape = (d + 1,) * 3
+    norm_a, norm_b = np.zeros(shape, dtype=object), np.zeros(shape, dtype=object)
+    norm_den = np.zeros((d + 1, d + 1, 1), dtype=object)
     for i in range(d + 1):
         for k in range(i, d + 1):
             s = t.idempotents[i].schur(t.idempotents[k])
             sa, sb = _bounded_qprod((s.ra, s.rb), (cols_a, cols_b), n,
                                     t.vertex_count)
             qa, qb = _bounded_qprod((cols_a, cols_b), (sa, sb), n)
-            norm_den = s.den * den * den
-            qa = _scaled_sum(qa, axis=0)
-            qb = None if qb is None else _scaled_sum(qb, axis=0)
-            norms[i, k] = norms[k, i] = [
-                QRootN(Fraction(int(qa[j]), norm_den),
-                       Fraction(0 if qb is None else int(qb[j]), norm_den), n)
-                for j in range(d + 1)]
-    for i in range(d + 1):
-        for j in range(d + 1):
-            for k in range(d + 1):
-                norm = norms[i, k][j]
-                if (norm != t.krein[i][k][j] * t.multiplicities[j]
-                        or bool(norm) != bool(t.krein[i][j][k])):
-                    violations.append(("EAsE", i, j, k))
+            norm_a[i, k] = norm_a[k, i] = _scaled_sum(qa, axis=0)
+            if qb is not None:
+                norm_b[i, k] = norm_b[k, i] = _scaled_sum(qb, axis=0)
+            norm_den[i, k] = norm_den[k, i] = s.den * den * den
+    norm = (_canonical(norm_a)[0], _canonical(norm_b)[0])
+    # the Krein table as integer arrays over one denominator kden, indexed
+    # like t.krein, so q_ik^j m_j is at [i, k, j]
+    ka, kb, kden = _over_common_den(
+        [v for plane in t.krein for row in plane for v in row], n)
+    ka, kb = (None if p is None else p.reshape(shape) for p in (ka, kb))
+    target = _bounded_qprod((ka, kb), (np.array(t.multiplicities), None), n)
+    # norm / norm_den == target / kden, cross-multiplied
+    equal = _parts_equal(
+        _bounded_qprod(norm, (kden, None), n),
+        _bounded_qprod(target, (_canonical(norm_den)[0], None), n))
+    # at [i, j, k], so that argwhere lists the triples in loop order
+    bad = (~equal.transpose(0, 2, 1)
+           | (_nonzero(norm).transpose(0, 2, 1) != _nonzero((ka, kb))))
+    violations.extend(("EAsE", int(i), int(j), int(k))
+                      for i, j, k in np.argwhere(bad))
     return TripleVanishingReport(checked=2 * (d + 1) ** 3,
                                  violations=tuple(violations))
 

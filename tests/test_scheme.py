@@ -1,14 +1,22 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from fermigraph import ExactMatrix, QRootN
+from fermigraph import (ExactMatrix, QRootN, build_hadamard_graph, paley,
+                        scheme, terwilliger_basis)
 from fermigraph.qroot import sqrt_of
-from fermigraph.scheme import (SchemeError, eigenmatrices, hadamard_pq_matrix,
-                               intersection_array, lagrange_idempotents,
+from fermigraph.scheme import (SchemeError, _representative_pairs, eigenmatrices,
+                               hadamard_pq_matrix, intersection_array,
+                               krein_parameters, lagrange_idempotents,
                                polynomial_checks)
+from fermigraph.terwilliger import triple_vanishing_check
 from tests.conftest import hadamard_context, hypercube_context, paley_context
+
+_CONTEXTS = {"sylvester": hadamard_context, "paley": paley_context,
+             "hypercube": hypercube_context}
 
 
 @pytest.mark.parametrize("n", [2, 4, 8, 16])
@@ -97,6 +105,99 @@ def test_eigenmatrices_form_no_matrix_product(monkeypatch):
     assert pmat == qmat == hadamard_pq_matrix(12)
 
 
+# every QRootN operator, as the benchmark's tracer counts them
+QROOT_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                   "__rmul__", "__neg__", "__truediv__", "__rtruediv__",
+                   "__pow__", "__eq__", "inverse")
+
+
+def test_scheme_checks_use_few_scalar_operations(monkeypatch):
+    """build_scheme plus the triple check on Paley q = 11 run their small
+    tables on integer arrays: 360 QRootN operations, all in the Lagrange
+    expansion, where scalar Q(sqrt(n)) loops over the Krein, P Q and norm
+    tables took 1,860."""
+    graph = build_hadamard_graph(paley(11))
+    calls = []
+
+    def counted(name, fn):
+        def op(*args):
+            calls.append(name)
+            return fn(*args)
+        return op
+    for name in QROOT_OPERATORS:
+        monkeypatch.setattr(QRootN, name, counted(name, getattr(QRootN, name)))
+    tables = scheme.build_scheme(graph)
+    count = len(calls)
+    basis = terwilliger_basis(tables)
+    before = len(calls)
+    assert triple_vanishing_check(basis).ok
+    count += len(calls) - before
+    assert count <= 400
+
+
+def _perturbed(m: ExactMatrix, x: int, y: int) -> ExactMatrix:
+    ra = m.ra.copy()
+    ra[x, y] += 1
+    return ExactMatrix(m.dim, m.radicand, ra, m.rb, m.den)
+
+
+def _off_representatives(tables, k: int) -> tuple[int, int]:
+    """A pair at distance k that is not the representative pair of k."""
+    reps = _representative_pairs(list(tables.distance))
+    return next((int(x), int(y))
+                for x, y in np.argwhere(tables.distance[k].ra != 0)
+                if (x, y) != reps[k])
+
+
+@pytest.mark.parametrize("family, size", [("sylvester", 4), ("sylvester", 8),
+                                          ("paley", 11)])
+def test_pq_check_rejects_perturbed_p_entry(monkeypatch, family, size):
+    _, tables, _ = _CONTEXTS[family](size)
+    real = scheme._schur_sum
+
+    def off_by_one(a, e):
+        s = real(a, e)
+        return s + 1 if a is tables.distance[2] and e is tables.idempotents[1] else s
+    # P_12 f_1 is the entry sum of A_2 o E_1
+    monkeypatch.setattr(scheme, "_schur_sum", off_by_one)
+    with pytest.raises(SchemeError, match="P Q != N I"):
+        eigenmatrices(list(tables.distance), list(tables.idempotents),
+                      list(tables.multiplicities))
+
+
+@pytest.mark.parametrize("family, size", [("sylvester", 4), ("sylvester", 8),
+                                          ("paley", 11)])
+def test_krein_reconstruction_rejects_perturbed_idempotent(family, size):
+    _, tables, _ = _CONTEXTS[family](size)
+    # the entry is off every representative pair, so the Krein table read
+    # from those pairs is unchanged and only the dense E_i o E_j check sees it
+    idem = list(tables.idempotents)
+    idem[2] = _perturbed(idem[2], *_off_representatives(tables, 3))
+    with pytest.raises(SchemeError, match="reconstruction failed"):
+        krein_parameters(list(tables.distance), idem,
+                         [list(row) for row in tables.eigenmatrix_p])
+
+
+def test_build_scheme_rejects_non_symmetric_idempotent(monkeypatch, had4):
+    graph, _, _ = had4
+    real = scheme.lagrange_idempotents
+
+    def skewed(a, thetas):
+        idem = real(a, thetas)
+        e, dim, n = idem[1], a.dim, a.radicand
+        # E + E M (I - E) is idempotent for every M; with M = e_0 e_1^T it
+        # is not symmetric, since E e_0 and (I - E) e_1 are nonzero and
+        # orthogonal
+        m = np.zeros((dim, dim), dtype=np.int64)
+        m[0, 1] = 1
+        idem[1] = e + e @ ExactMatrix(dim, n, m) @ (ExactMatrix.identity(dim, n) - e)
+        assert idem[1] @ idem[1] == idem[1] and not idem[1].is_symmetric()
+        return idem
+    monkeypatch.setattr(scheme, "lagrange_idempotents", skewed)
+    with pytest.raises(SchemeError, match="E_1 is not symmetric"):
+        scheme.build_scheme(graph)
+
+
 def test_pq_product_is_scaled_identity(had4):
     _, tables, _ = had4
     d = tables.diameter
@@ -183,3 +284,13 @@ def test_paley_scheme_self_dual():
         for j in range(5):
             for k in range(5):
                 assert tables.krein[i][j][k] == tables.p_numbers[i][j][k]
+
+
+# SchemeTables.to_json() bytes keyed by "<family> <size>", recorded before the
+# Krein, P Q = N I and triple-check tables moved to integer arrays
+TABLES_JSON = json.loads((Path(__file__).parent / "scheme_tables.json").read_text())
+@pytest.mark.parametrize("key", sorted(TABLES_JSON))
+def test_scheme_tables_json_bytes(key):
+    family, size = key.split()
+    _, tables, _ = _CONTEXTS[family](int(size))
+    assert tables.to_json() == TABLES_JSON[key]

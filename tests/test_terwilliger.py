@@ -104,6 +104,46 @@ def test_triple_check_flags_scaled_krein_entry(had4):
     assert triple_vanishing_check(bad).violations == (("EAsE", i, k, j),)
 
 
+@pytest.mark.parametrize("family, size", [("sylvester", 8), ("paley", 11),
+                                          ("hypercube", 4)])
+def test_triple_check_flags_doubled_krein_entry(family, size):
+    _, tables, basis = _CONTEXTS[family](size)
+    i, j, k = 1, 1, 2
+    assert tables.krein[i][j][k]
+    krein = [[list(row) for row in plane] for plane in tables.krein]
+    krein[i][j][k] = krein[i][j][k] * 2
+    bad = _with_tables(basis, krein=tuple(tuple(tuple(row) for row in plane)
+                                          for plane in krein))
+    # only ||E_1 A*_2 E_1||^2 = q_11^2 m_2 fails; the zero patterns agree
+    assert triple_vanishing_check(bad).violations == (("EAsE", i, k, j),)
+
+
+@pytest.mark.parametrize("family, size", [("sylvester", 4), ("paley", 11)])
+def test_triple_check_flags_zeroed_krein_entry(family, size):
+    _, tables, basis = _CONTEXTS[family](size)
+    i, j, k = 1, 1, 2
+    krein = [[list(row) for row in plane] for plane in tables.krein]
+    krein[i][j][k] = krein[i][j][k] * 0
+    bad = _with_tables(basis, krein=tuple(tuple(tuple(row) for row in plane)
+                                          for plane in krein))
+    # E_1 A*_1 E_2 does not vanish, as the dense reference finds; and
+    # ||E_1 A*_2 E_1||^2 = q_11^2 m_2 no longer holds
+    assert dense_triple_violations(bad)[1] == [("EAsE", i, j, k)]
+    assert triple_vanishing_check(bad).violations == (("EAsE", i, j, k),
+                                                      ("EAsE", i, k, j))
+
+
+def test_triple_check_compares_sqrt_parts():
+    _, tables, basis = paley_context(11)
+    i, j, k = 1, 1, 2
+    krein = [[list(row) for row in plane] for plane in tables.krein]
+    krein[i][j][k] = krein[i][j][k] + sqrt_of(tables.radicand)
+    bad = _with_tables(basis, krein=tuple(tuple(tuple(row) for row in plane)
+                                          for plane in krein))
+    # the squared norms are rational, so the new sqrt(12) part is flagged
+    assert triple_vanishing_check(bad).violations == (("EAsE", i, k, j),)
+
+
 def test_triple_check_flags_distance_entry_outside_its_shell_block(had4):
     _, tables, basis = had4
     neighbour = next(y for y in range(tables.vertex_count)
