@@ -28,15 +28,15 @@ proven in:
 
 - the product rule in ``_bounded_qprod``: ``inner * (|a||c| + |b||d| n)``
   for the rational part and ``inner * (|a||d| + |b||c|)`` for the sqrt(n)
-  part, with ``inner`` the inner dimension of ``@``, N^2 for the entry sum
-  of a Schur product (``_schur_sum``) and 1 for diagonal scalings and
-  ``schur``;
+  part, with ``inner`` the inner dimension of ``@`` and 1 for diagonal
+  scalings and ``schur``;
 - ``combination``: the sum of every term's product-rule bound, taken before
   any term is added, so an int64 accumulator never meets an object term;
 - the perfect-square fold ``ra + rb * s`` and the division by the gcd in
   ``_normalize`` (that gcd exceeds 2^62 only when every entry is zero);
-- scalings and entry sums read off the arrays by other modules and by
-  ``trace``: ``_scaled_sum`` bounds ``|factor| * max|entry| * terms``.
+- scalings and entry sums read off the arrays by other modules, by
+  ``trace`` and by ``_schur_sum``: ``_scaled_sum`` bounds
+  ``|factor| * max|entry| * terms``.
 
 Each matrix keeps its parts' max |entry| (``_mag``), so bounding a product
 reads no array: the constructor sets it from the canonical parts, and only
@@ -471,15 +471,15 @@ class ExactMatrix:
 
 
 def _schur_sum(x: ExactMatrix, y: ExactMatrix) -> QRootN:
-    """The entry sum of x o y, as one dot product of the flattened parts
-    (inner dimension N^2), so no N x N array is formed."""
+    """The entry sum of x o y, read off the product of the parts before any
+    normalization."""
     _check_conforming(x.dim, x.radicand, y)
-    flat = [tuple(None if p is None else p.reshape(shape) for p in (m.ra, m.rb))
-            for m, shape in ((x, (1, -1)), (y, (-1, 1)))]
-    sa, sb = _bounded_qprod(*flat, x.radicand, x.dim * x.dim, (x._mag, y._mag))
+    sa, sb = _bounded_qprod((x.ra, x.rb), (y.ra, y.rb), x.radicand,
+                            mags=(x._mag, y._mag))
     den = x.den * y.den
-    return QRootN(Fraction(int(sa[0, 0]), den),
-                  Fraction(0 if sb is None else int(sb[0, 0]), den), x.radicand)
+    tb = 0 if sb is None else int(_scaled_sum(sb, axis=None))
+    return QRootN(Fraction(int(_scaled_sum(sa, axis=None)), den),
+                  Fraction(tb, den), x.radicand)
 
 
 def commutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:

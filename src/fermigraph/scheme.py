@@ -14,9 +14,9 @@ U of the idempotents (Q = N U), P Q = N I as the product P U = I, and the
 whole Krein table as the product of P with the A-basis coefficients
 U[m][i] U[m][j] of every E_i o E_j.  The N x N reconstructions (A_j from
 P, E_j from Q, each E_i o E_j from the Krein table) stay dense and exact,
-and so does the entry sum of A_j o E_i that gives P, taken as one dot
-product of the integer parts.  ``terwilliger.triple_vanishing_check``
-compares its norms with the Krein table on integer arrays too.
+and so does the entry sum of A_j o E_i that gives P, read off the product
+of the integer parts.  ``terwilliger.triple_vanishing_check`` compares its
+norms with the Krein table on integer arrays too.
 
 Conventions: idempotents are ordered by the supplied eigenvalue list (for the
 graphs built here that is the self-dual ordering with the valency first), and

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from fermigraph.exactmat import (_FLOAT64_EXACT_LIMIT, DimensionMismatchError,
                                  ExactMatrix, _bounded_qprod, _max_abs,
-                                 _scaled_sum, anticommutator, commutator)
+                                 _scaled_sum, _schur_sum, anticommutator,
+                                 commutator)
 from fermigraph.qroot import QRootN, RadicandMismatchError
 from fermigraph.terwilliger import _row_diagonal
 
@@ -691,3 +692,23 @@ def test_bounded_operations_match_python_ints(dim, radicand, data):
     d = ExactMatrix.diagonal([va[i][i] for i in range(dim)], radicand)
     assert_canonical(d @ b, python_product(values(d), vb))
     assert_canonical(b @ d, python_product(vb, values(d)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3), st.sampled_from([2, 3, 5, 4, 9]), st.data())
+def test_schur_sum_matches_python_ints(dim, radicand, data):
+    a = data.draw(edge_matrices(dim, radicand))
+    b = data.draw(edge_matrices(dim, radicand))
+    va, vb = values(a), values(b)
+    want = sum((va[i][j] * vb[i][j] for i in range(dim) for j in range(dim)),
+               QRootN(0, 0, radicand))
+    assert _schur_sum(a, b) == want
+
+
+@pytest.mark.parametrize("with_rb", [False, True])
+def test_schur_sum_past_2_63(with_rb):
+    # each product entry is below 2^62 (int64), their sum about 9 * 2^62
+    x = 2**31 - 1
+    a = int_matrix([[x] * 3] * 3, 5, [[x] * 3] * 3 if with_rb else None)
+    b = int_matrix([[x] * 3] * 3, 5)
+    assert _schur_sum(a, b) == QRootN(9 * x * x, 9 * x * x if with_rb else 0, 5)
