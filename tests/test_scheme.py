@@ -114,8 +114,8 @@ QROOT_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
 def test_scheme_checks_use_few_scalar_operations(monkeypatch):
     """build_scheme plus the triple check on Paley q = 11 run their small
     tables on integer arrays: 360 QRootN operations, all in the Lagrange
-    expansion, where scalar Q(sqrt(n)) loops over the Krein, P Q and norm
-    tables took 1,860."""
+    expansion.  With scalar Q(sqrt(n)) loops over the Krein, P Q and norm
+    tables they took 1,860."""
     graph = build_hadamard_graph(paley(11))
     calls = []
 
@@ -289,6 +289,8 @@ def test_paley_scheme_self_dual():
 # SchemeTables.to_json() bytes keyed by "<family> <size>", recorded before the
 # Krein, P Q = N I and triple-check tables moved to integer arrays
 TABLES_JSON = json.loads((Path(__file__).parent / "scheme_tables.json").read_text())
+
+
 @pytest.mark.parametrize("key", sorted(TABLES_JSON))
 def test_scheme_tables_json_bytes(key):
     family, size = key.split()

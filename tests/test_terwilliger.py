@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -104,16 +105,21 @@ def test_triple_check_flags_scaled_krein_entry(had4):
     assert triple_vanishing_check(bad).violations == (("EAsE", i, k, j),)
 
 
+def _with_krein_entry(basis, i, j, k, value):
+    """``basis`` with q_ij^k alone replaced by ``value``."""
+    krein = [[list(row) for row in plane] for plane in basis.tables.krein]
+    krein[i][j][k] = value
+    return _with_tables(basis, krein=tuple(tuple(tuple(row) for row in plane)
+                                           for plane in krein))
+
+
 @pytest.mark.parametrize("family, size", [("sylvester", 8), ("paley", 11),
                                           ("hypercube", 4)])
 def test_triple_check_flags_doubled_krein_entry(family, size):
     _, tables, basis = _CONTEXTS[family](size)
     i, j, k = 1, 1, 2
     assert tables.krein[i][j][k]
-    krein = [[list(row) for row in plane] for plane in tables.krein]
-    krein[i][j][k] = krein[i][j][k] * 2
-    bad = _with_tables(basis, krein=tuple(tuple(tuple(row) for row in plane)
-                                          for plane in krein))
+    bad = _with_krein_entry(basis, i, j, k, tables.krein[i][j][k] * 2)
     # only ||E_1 A*_2 E_1||^2 = q_11^2 m_2 fails; the zero patterns agree
     assert triple_vanishing_check(bad).violations == (("EAsE", i, k, j),)
 
@@ -122,10 +128,7 @@ def test_triple_check_flags_doubled_krein_entry(family, size):
 def test_triple_check_flags_zeroed_krein_entry(family, size):
     _, tables, basis = _CONTEXTS[family](size)
     i, j, k = 1, 1, 2
-    krein = [[list(row) for row in plane] for plane in tables.krein]
-    krein[i][j][k] = krein[i][j][k] * 0
-    bad = _with_tables(basis, krein=tuple(tuple(tuple(row) for row in plane)
-                                          for plane in krein))
+    bad = _with_krein_entry(basis, i, j, k, tables.krein[i][j][k] * 0)
     # E_1 A*_1 E_2 does not vanish, as the dense reference finds; and
     # ||E_1 A*_2 E_1||^2 = q_11^2 m_2 no longer holds
     assert dense_triple_violations(bad)[1] == [("EAsE", i, j, k)]
@@ -133,13 +136,24 @@ def test_triple_check_flags_zeroed_krein_entry(family, size):
                                                       ("EAsE", i, k, j))
 
 
+@pytest.mark.parametrize("family, size", [("sylvester", 4), ("paley", 11)])
+def test_triple_check_norms_over_a_common_denominator(family, size):
+    _, tables, basis = _CONTEXTS[family](size)
+    # A*_j / 2 scales every squared norm by 1/4, as q / 4 scales q m_j: the
+    # identity holds over the columns' denominator 2
+    halved = tuple(a.scale(Fraction(1, 2)) for a in basis.dual_distance)
+    quartered = tuple(tuple(tuple(q * Fraction(1, 4) for q in row) for row in plane)
+                      for plane in tables.krein)
+    scaled = dataclasses.replace(_with_tables(basis, krein=quartered),
+                                 dual_distance=halved)
+    assert triple_vanishing_check(scaled).ok
+
+
 def test_triple_check_compares_sqrt_parts():
     _, tables, basis = paley_context(11)
     i, j, k = 1, 1, 2
-    krein = [[list(row) for row in plane] for plane in tables.krein]
-    krein[i][j][k] = krein[i][j][k] + sqrt_of(tables.radicand)
-    bad = _with_tables(basis, krein=tuple(tuple(tuple(row) for row in plane)
-                                          for plane in krein))
+    bad = _with_krein_entry(basis, i, j, k,
+                            tables.krein[i][j][k] + sqrt_of(tables.radicand))
     # the squared norms are rational, so the new sqrt(12) part is flagged
     assert triple_vanishing_check(bad).violations == (("EAsE", i, k, j),)
 
