@@ -9,10 +9,11 @@ reconstruction; nothing is trusted from a partial check.
 
 The (d+1)-sized tables are computed and checked as small exact matrices
 (integer arrays over one denominator), one product rule per table rather
-than one Q(sqrt(n)) scalar operation per entry: the representative entries
-U of the idempotents (Q = N U), P Q = N I as the product P U = I, and the
-whole Krein table as the product of P with the A-basis coefficients
-U[m][i] U[m][j] of every E_i o E_j.  The N x N reconstructions (A_j from
+than one Q(sqrt(n)) scalar operation per entry: the Lagrange coefficients
+of the idempotents, the representative entries U of the idempotents
+(Q = N U), P Q = N I as the product P U = I, and the whole Krein table as
+the product of P with the A-basis coefficients U[m][i] U[m][j] of every
+E_i o E_j.  The N x N reconstructions (A_j from
 P, E_j from Q, each E_i o E_j from the Krein table) stay dense and exact,
 and so does the entry sum of A_j o E_i that gives P, read off the product
 of the integer parts.  ``terwilliger.triple_vanishing_check`` compares its
@@ -33,7 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactmat import ExactMatrix, _bounded_qprod, _schur_sum
+from .exactmat import ExactMatrix, _bounded_qprod, _over_common_den, _schur_sum
 from .graphs import SchemeGraph
 from .qroot import QRootN
 
@@ -66,30 +67,42 @@ def lagrange_idempotents(a: ExactMatrix,
     """Primitive idempotents E_k = prod_{j != k} (A - theta_j I)/(theta_k - theta_j).
 
     Expands each Lagrange polynomial in coefficient form so the matrix powers
-    are shared across all k.
+    are shared across all k.  With the eigenvalues over one denominator t,
+    theta_j = (u_j + v_j sqrt(n)) / t, the coefficients and denominators of
+    all d+1 polynomials are small tables of Python ints (object arrays, so
+    nothing can overflow), built one factor at a time for every k that takes
+    it:
+
+        c[k] = prod_{j != k} (t x - t theta_j), low degree first,
+        q[k] = prod_{j != k} (t theta_k - t theta_j),
+
+    and E_k = sum_m (c[k][m] / q[k]) A^m with 1/q = conj(q) / (q conj(q)).
     """
     d = len(thetas) - 1
+    n = a.radicand
     powers = adjacency_powers(a, d)
-    one = QRootN(1, 0, a.radicand)
-    idempotents = []
-    for k, tk in enumerate(thetas):
-        coeffs = [one]  # coefficients of prod (x - theta_j), low degree first
-        denom = one
-        for j, tj in enumerate(thetas):
-            if j == k:
-                continue
-            denom = denom * (tk - tj)
-            nxt = [QRootN(0, 0, a.radicand)] * (len(coeffs) + 1)
-            for deg, c in enumerate(coeffs):
-                nxt[deg + 1] = nxt[deg + 1] + c
-                nxt[deg] = nxt[deg] - c * tj
-            coeffs = nxt
-        if not denom:
-            raise SchemeError("repeated eigenvalue in the spectrum list")
-        inv = denom.inverse()
-        idempotents.append(ExactMatrix.combination(
-            [(c * inv, p) for c, p in zip(coeffs, powers)], a.dim, a.radicand))
-    return idempotents
+    u, v, t = _over_common_den(thetas, n)
+    u = u.astype(object)
+    v = np.zeros_like(u) if v is None else v.astype(object)
+    ca, cb = (np.zeros((d + 1, d + 1), dtype=object) for _ in range(2))
+    ca[:, 0] = 1
+    qa, qb = np.ones(d + 1, dtype=object), np.zeros(d + 1, dtype=object)
+    for j in range(d + 1):
+        k = np.arange(d + 1) != j
+        # c (t x - t theta_j): t c shifted one degree up, minus c t theta_j;
+        # no row has reached degree d yet, so the shift wraps only zeros
+        ma, mb = _bounded_qprod((ca[k], cb[k]), (u[j], v[j]), n)
+        ca[k] = t * np.roll(ca[k], 1, axis=1) - ma
+        cb[k] = t * np.roll(cb[k], 1, axis=1) - mb
+        qa[k], qb[k] = _bounded_qprod((qa[k], qb[k]), (u[k] - u[j], v[k] - v[j]), n)
+    norm = qa * qa - qb * qb * n
+    if not norm.all():
+        raise SchemeError("repeated eigenvalue in the spectrum list")
+    ea, eb = _bounded_qprod((ca, cb), (qa[:, None], -qb[:, None]), n)
+    return [ExactMatrix.combination(
+        [(QRootN(Fraction(x, norm[k]), Fraction(y, norm[k]), n), m)
+         for x, y, m in zip(ea[k], eb[k], powers)], a.dim, n)
+        for k in range(d + 1)]
 
 
 @dataclass(frozen=True)

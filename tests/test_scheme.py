@@ -113,9 +113,9 @@ QROOT_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
 
 def test_scheme_checks_use_few_scalar_operations(monkeypatch):
     """build_scheme plus the triple check on Paley q = 11 run their small
-    tables on integer arrays: 360 QRootN operations, all in the Lagrange
-    expansion.  With scalar Q(sqrt(n)) loops over the Krein, P Q and norm
-    tables they took 1,860."""
+    tables (Lagrange coefficients, P Q, Krein, norms) on integer arrays and
+    do no QRootN arithmetic; with scalar Q(sqrt(n)) loops they took 1,860
+    QRootN operations."""
     graph = build_hadamard_graph(paley(11))
     calls = []
 
@@ -132,7 +132,7 @@ def test_scheme_checks_use_few_scalar_operations(monkeypatch):
     before = len(calls)
     assert triple_vanishing_check(basis).ok
     count += len(calls) - before
-    assert count <= 400
+    assert count == 0
 
 
 def _perturbed(m: ExactMatrix, x: int, y: int) -> ExactMatrix:
@@ -253,6 +253,27 @@ def test_bipartite_vanishing(n):
             for k in range(d + 1):
                 if (i + j + k) % 2 == 1:
                     assert tables.p_numbers[i][j][k] == 0
+
+
+def test_lagrange_idempotents_of_a_diagonal_matrix():
+    # eigenvalues over the common denominator 6, with sqrt(5) parts
+    thetas = [QRootN(Fraction(1, 2), 0, 5), QRootN(Fraction(-1, 3), 0, 5),
+              QRootN(Fraction(1, 2), Fraction(1, 3), 5),
+              QRootN(2, Fraction(-1, 6), 5)]
+    where = [0, 1, 1, 2, 3, 0]
+    a = ExactMatrix.diagonal([thetas[k] for k in where], 5)
+    idem = lagrange_idempotents(a, thetas)
+    for k, e in enumerate(idem):
+        assert e == ExactMatrix.diagonal([int(w == k) for w in where], 5)
+
+
+@pytest.mark.parametrize("family, size", [("sylvester", 4), ("paley", 11)])
+def test_repeated_eigenvalue_rejected(family, size):
+    graph, _, _ = _CONTEXTS[family](size)
+    thetas = list(graph.eigenvalues)
+    thetas[3] = thetas[1]
+    with pytest.raises(SchemeError, match="repeated eigenvalue"):
+        lagrange_idempotents(graph.adjacency, thetas)
 
 
 def test_wrong_eigenvalue_list_rejected(had4):
