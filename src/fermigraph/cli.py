@@ -46,8 +46,8 @@ EXIT_NUMERIC = 4
 
 # Size budget of the exact path: the largest vertex count N = 4n for which
 # verify, spectrum and heun build dense N x N matrices over Q(sqrt(n)).
-# verify takes about 1.7 s and 103 MB at order 128 (N = 512) and 0.55 s and
-# 46 MB at order 64 on two x86-64 cores; its checks at order 256 take 4.4 s
+# verify takes about 1.7 s and 103 MB at order 128 (N = 512) and 0.6 s and
+# 46 MB at order 64 on two x86-64 cores; its checks at order 256 take 4.1 s
 # and 264 MB through the library.  The scheme build's products are O(N^3).
 EXACT_MAX_VERTICES = 512
 
