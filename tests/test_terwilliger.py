@@ -149,6 +149,14 @@ def test_triple_check_norms_over_a_common_denominator(family, size):
     assert triple_vanishing_check(scaled).ok
 
 
+def test_triple_check_compares_past_int64():
+    _, tables, basis = paley_context(11)
+    i, j, k = 1, 1, 2
+    # the Krein table and its targets then hold Python ints past 2^62
+    bad = _with_krein_entry(basis, i, j, k, QRootN(2**70, 2**70, 12))
+    assert triple_vanishing_check(bad).violations == (("EAsE", i, k, j),)
+
+
 def test_triple_check_compares_sqrt_parts():
     _, tables, basis = paley_context(11)
     i, j, k = 1, 1, 2
