@@ -1,10 +1,10 @@
 """Correlation spectra versus the published closed forms.
 
-Every report compares the numerically computed spectrum against the table of
-published eigenvalue formulas.  Several of those formulas disagree with the
-numerics (their sums even contradict the exact trace), so the comparisons
-are printed with flags rather than silently trusted; the exact trace is the
-arbiter.
+Every report compares its spectrum, read from the Terwilliger modules,
+against the table of published eigenvalue formulas.  Several of those
+formulas disagree with it (their sums even contradict the exact trace), so
+the comparisons are printed with flags rather than silently trusted; the
+exact trace is the arbiter.
 """
 
 from fermigraph import (build_hadamard_graph, build_scheme, correlation_report,

@@ -2,12 +2,11 @@
 
 Exact association-scheme data over Q(sqrt(n)), Terwilliger-algebra dual
 matrices, the block-tridiagonal operator commuting with the chopped
-correlation matrix, and numerically computed correlation spectra and
-von Neumann entropies.
+correlation matrix, and correlation spectra and von Neumann entropies from
+the Terwilliger modules.
 """
 
-from .eig import (EigenSolveError, InvalidSpectrumError, NonSymmetricError,
-                  Spectrum, cluster_spectrum, symmetric_eig)
+from .eig import InvalidSpectrumError, Spectrum
 from .entangle import (ClosedFormComparison, CorrelationReport, EntropySweepRow,
                        HadamardSpectra, HeunOperator, ProjectorPair,
                        UncoveredSpectrumError,
@@ -16,7 +15,7 @@ from .entangle import (ClosedFormComparison, CorrelationReport, EntropySweepRow,
                        entanglement_hamiltonian, entropy, entropy_sweep,
                        ground_state_correlation,
                        heun_expansion_energy, heun_expansion_neighbourhood,
-                       heun_operator, projector_pair, spectrum_numeric)
+                       heun_operator, projector_pair)
 from .exactmat import (DimensionMismatchError, ExactMatrix, anticommutator,
                        commutator)
 from .graphs import (DisconnectedGraphError, HadamardGraph, SchemeGraph,

@@ -11,13 +11,14 @@ gen, verify, spectrum and heun take their matrix from exactly one of --n
 (Sylvester order), --q (Paley prime) and --in (matrix JSON file); --k is the
 energy cutoff K of spectrum and heun.  verify, spectrum and heun work on
 exact N x N matrices, N = 4n, and refuse graphs above EXACT_MAX_VERTICES
-before building any of them.  entropy builds no graph: its spectra come from
-the Terwilliger modules of the intersection array (see
-``entangle.HadamardSpectra``).  Sylvester orders, from --n or entropy
---orders, are powers of two up to 2^SYLVESTER_MAX_EXPONENT.  Exit codes: 0
-success, 2 input validation, 3 exact-identity failure, 4 numerical failure.
-Output is deterministic: fixed key order, fixed float formatting, no
-timestamps.
+before building any of them.  No subcommand runs an eigensolver: the
+spectra of spectrum and entropy come from the Terwilliger modules of the
+intersection array (see ``entangle.HadamardSpectra``), and entropy builds no
+graph at all.  Sylvester orders, from --n or entropy --orders, are powers of
+two up to 2^SYLVESTER_MAX_EXPONENT.  Exit codes: 0 success, 2 input
+validation, 3 exact-identity failure, 4 numerical failure (a spectrum that
+fails its trace or [0, 1] check).  Output is deterministic: fixed key order,
+fixed float formatting, no timestamps.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import json
 import sys
 from pathlib import Path
 
-from .eig import EigenSolveError, InvalidSpectrumError, NonSymmetricError
+from .eig import InvalidSpectrumError
 from .entangle import (correlation_report, entropy_sweep, heun_operator,
                        projector_pair)
 from .exactmat import commutator
@@ -173,8 +174,7 @@ def cmd_spectrum(args) -> int:
     graph = build_hadamard_graph(h)
     tables = build_scheme(graph)
     basis = terwilliger_basis(tables, base_vertex=0)
-    report = correlation_report(tables, basis, args.k, args.ell,
-                                cluster_tol=args.tol)
+    report = correlation_report(tables, basis, args.k, args.ell)
     payload = report.to_payload()
     if args.format == "json":
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
@@ -300,8 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--k", type=int, required=True, help="energy cutoff K")
     p.add_argument("--ell", type=int, required=True, help="distance cutoff")
-    p.add_argument("--tol", type=float, default=1e-8,
-                   help="eigenvalue cluster tolerance")
     p.add_argument("--format", choices=["json", "csv", "pretty"], default="json")
     p.set_defaults(func=cmd_spectrum)
 
@@ -332,7 +330,7 @@ def main(argv=None) -> int:
             RadicandMismatchError) as exc:
         print(f"exact check failed: {exc}", file=sys.stderr)
         return EXIT_EXACT
-    except (EigenSolveError, NonSymmetricError, InvalidSpectrumError) as exc:
+    except InvalidSpectrumError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:

@@ -1,33 +1,16 @@
-"""Dense symmetric eigensolver and spectrum clustering.
+"""Float spectra with exact multiplicities.
 
-The solver delegates to LAPACK through ``numpy.linalg.eigh`` (Householder
-tridiagonalization followed by implicit-shift QL/QR); the tests hold an
-independent cyclic-Jacobi reference.  Every solve is verified a posteriori:
-each eigenpair against the residual bound ``|M v - lambda v| <= tol * |M|_F``,
-and the whole basis against ``max |V^T V - I| <= tol``.  The matrices treated
-here are heavily degenerate; the orthonormality check is what guarantees an
-orthonormal basis inside each eigenvalue cluster, so the vectors are returned
-as LAPACK gives them.
+Spectra come from the Terwilliger modules (``entangle.HadamardSpectra``); no
+eigensolver runs in this package.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-import numpy as np
-
-DEFAULT_EIG_TOL = 1e-10
+# no spectrum in src is clustered by tolerance; perfbench/workloads.py imports
+# this as its absolute float tolerance for spectrum values and entropies
 DEFAULT_CLUSTER_TOL = 1e-8
-SYMMETRY_RTOL = 1e-12
-
-
-class NonSymmetricError(ValueError):
-    """Input matrix is not symmetric within tolerance."""
-
-
-class EigenSolveError(RuntimeError):
-    """The eigensolver failed to converge or missed its residual bound."""
 
 
 class InvalidSpectrumError(ValueError):
@@ -39,7 +22,6 @@ class Spectrum:
     """Distinct eigenvalues with multiplicities, ascending."""
 
     entries: tuple[tuple[float, int], ...]
-    cluster_tolerance: float
     trace_check: float = 0.0
 
     @property
@@ -59,75 +41,5 @@ class Spectrum:
             out.extend([v] * m)
         return out
 
-    def nonzero(self, tol: float | None = None) -> list[tuple[float, int]]:
-        t = self.cluster_tolerance if tol is None else tol
-        return [(v, m) for v, m in self.entries if abs(v) > t]
-
     def __str__(self) -> str:
         return "{" + ", ".join(f"{v:.12g}^({m})" for v, m in self.entries) + "}"
-
-
-def _check_symmetric(m: np.ndarray) -> None:
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NonSymmetricError(f"expected a square matrix, got shape {m.shape}")
-    scale = np.max(np.abs(m)) if m.size else 0.0
-    dev = np.max(np.abs(m - m.T)) if m.size else 0.0
-    if dev > SYMMETRY_RTOL * max(scale, 1.0):
-        raise NonSymmetricError(f"asymmetry {dev:.3e} exceeds {SYMMETRY_RTOL:.0e}*max|M|")
-
-
-def symmetric_eig(m: np.ndarray, tol: float = DEFAULT_EIG_TOL,
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvectors of a symmetric matrix.
-
-    Verifies |M v - lambda v| <= tol * |M|_F and orthonormality to tol for
-    every pair before returning.
-    """
-    m = np.asarray(m, dtype=float)
-    _check_symmetric(m)
-    if m.shape[0] == 0:
-        raise NonSymmetricError("empty matrix")
-    sym = 0.5 * (m + m.T)
-    try:
-        values, vectors = np.linalg.eigh(sym)
-    except np.linalg.LinAlgError as exc:
-        raise EigenSolveError(f"eigh did not converge: {exc}") from exc
-    frob = np.linalg.norm(sym, "fro")
-    resid = np.linalg.norm(sym @ vectors - vectors * values, axis=0)
-    bound = tol * max(frob, 1e-300)
-    if np.any(resid > bound):
-        raise EigenSolveError(
-            f"residual {resid.max():.3e} exceeds bound {bound:.3e}")
-    gram_dev = np.max(np.abs(vectors.T @ vectors - np.eye(m.shape[0])))
-    if gram_dev > tol:
-        raise EigenSolveError(f"eigenvector basis not orthonormal: {gram_dev:.3e}")
-    return values, vectors
-
-
-def cluster_spectrum(values, tol: float = DEFAULT_CLUSTER_TOL,
-                     trace: float | None = None) -> Spectrum:
-    """Merge ascending eigenvalues into (value, multiplicity) clusters.
-
-    Consecutive values within tol are merged; the representative is the
-    cluster mean.  tol <= 0 groups exactly equal values only.  A NaN or
-    infinite tol is refused: inf would merge the whole spectrum, and NaN
-    would switch off merging and the trace check, since every comparison
-    with NaN is False.
-    """
-    if not math.isfinite(tol):
-        raise ValueError(f"cluster tolerance must be finite, got {tol}")
-    vals = [float(v) for v in values]
-    if any(vals[i] > vals[i + 1] for i in range(len(vals) - 1)):
-        raise ValueError("eigenvalues must be sorted ascending")
-    entries: list[tuple[float, int]] = []
-    i = 0
-    eff = max(tol, 0.0)
-    while i < len(vals):
-        j = i + 1
-        while j < len(vals) and vals[j] - vals[j - 1] <= eff:
-            j += 1
-        entries.append((sum(vals[i:j]) / (j - i), j - i))
-        i = j
-    target = sum(vals) if trace is None else float(trace)
-    check = abs(sum(v * m for v, m in entries) - target)
-    return Spectrum(tuple(entries), cluster_tolerance=tol, trace_check=check)

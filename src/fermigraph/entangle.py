@@ -21,9 +21,13 @@ Shifting the Hamiltonian by a multiple of the identity (a constant chemical
 potential) only relabels which K is the Fermi level; K is therefore taken as
 a direct parameter everywhere.
 
+Pi(K, ell) maps each irreducible Terwilliger module to itself, so its
+spectrum comes from blocks of dimension at most 5 (``HadamardSpectra``), with
+exact multiplicities; no N x N matrix is diagonalized.
+
 Closed-form spectra published for the Hadamard family are kept in a claims
-table: reports compare them against the numerically computed spectrum and
-flag disagreements instead of silently correcting either side.
+table: reports compare them against the module spectrum and flag
+disagreements instead of silently correcting either side.
 """
 
 from __future__ import annotations
@@ -36,9 +40,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .eig import (DEFAULT_CLUSTER_TOL, InvalidSpectrumError, Spectrum,
-                  cluster_spectrum, symmetric_eig)
+from .eig import InvalidSpectrumError, Spectrum
 from .exactmat import ExactMatrix, _qprod, commutator
+from .graphs import HadamardGraph
 from .qroot import QRootN
 from .scheme import ModuleClass, SchemeTables, hadamard_modules
 from .terwilliger import TerwilligerBasis
@@ -168,26 +172,14 @@ def heun_expansion_energy(tables: SchemeTables, basis: TerwilligerBasis,
                            p1, mu, nu)
 
 
-# -- spectra -------------------------------------------------------------------
-
-def spectrum_numeric(m: ExactMatrix, cluster_tol: float = DEFAULT_CLUSTER_TOL,
-                     ) -> Spectrum:
-    """Cluster the float spectrum of an exact symmetric matrix, with the trace
-    check done against the exact trace."""
-    values, _ = symmetric_eig(m.to_float())
-    spec = cluster_spectrum(values, tol=cluster_tol, trace=float(m.trace()))
-    if spec.trace_check > max(cluster_tol, 1e-12) * m.dim:
-        raise InvalidSpectrumError(
-            f"eigenvalue sum misses the exact trace by {spec.trace_check:.3e}")
-    return spec
-
+# -- closed forms --------------------------------------------------------------
 
 def closed_form_spectrum(K: int, ell: int, n: int) -> list[tuple[float, int]]:
     """Published spectrum claims for the order-n Hadamard graph, as floats.
 
-    Callers are expected to compare these against a numerically computed
-    spectrum; several entries are known to disagree (they are claims, not
-    ground truth).  Raises UncoveredSpectrumError outside the covered table.
+    Callers are expected to compare these against a computed spectrum;
+    several entries are known to disagree (they are claims, not ground
+    truth).  Raises UncoveredSpectrumError outside the covered table.
     """
     d = 4
     if not 0 <= K <= d or not 0 <= ell <= d:
@@ -349,11 +341,18 @@ class CorrelationReport:
 
 
 def correlation_report(tables: SchemeTables, basis: TerwilligerBasis,
-                       K: int, ell: int,
-                       cluster_tol: float = DEFAULT_CLUSTER_TOL,
-                       ) -> CorrelationReport:
-    """Exact chopped correlation matrix with spectrum, entropy, the exact
-    commutation status of its Heun partner and closed-form comparisons."""
+                       K: int, ell: int) -> CorrelationReport:
+    """Exact chopped correlation matrix with its module spectrum, entropy,
+    the exact commutation status of its Heun partner and closed-form
+    comparisons.
+
+    The spectrum comes from the Terwilliger modules of the graph's order
+    (``HadamardSpectra``), whose traces must sum to the exact trace of the
+    matrix built here; so the tables must be those of a Hadamard graph.
+    """
+    if not isinstance(tables.graph, HadamardGraph):
+        raise ValueError("correlation reports need the tables of a Hadamard graph")
+    order = tables.graph.order
     pair = projector_pair(tables, basis, K, ell)
     pi = pair.pi2.masked_support(pair.support)
     tr = pi.trace()
@@ -364,7 +363,7 @@ def correlation_report(tables: SchemeTables, basis: TerwilligerBasis,
     if tr != expected:
         raise InvalidSpectrumError(
             f"trace {tr} differs from N_ell F_K / N = {expected}")
-    spec = spectrum_numeric(pi, cluster_tol=cluster_tol)
+    spec = HadamardSpectra(order).spectrum(K, ell)
     if spec.values and (spec.values[0] < -_CONTAINMENT_TOL
                         or spec.values[-1] > 1 + _CONTAINMENT_TOL):
         raise InvalidSpectrumError(f"spectrum escapes [0, 1]: {spec}")
@@ -373,12 +372,7 @@ def correlation_report(tables: SchemeTables, basis: TerwilligerBasis,
     if K <= d - 1 and ell <= d - 1:
         t = heun_operator(tables, basis, K, ell)
         commut = commutator(t.matrix, pi).is_zero()
-    order = getattr(tables.graph, "order", 0)
-    try:
-        claims = closed_form_spectrum(K, ell, order) if order else []
-    except UncoveredSpectrumError:
-        claims = []
-    comparisons = compare_with_claims(spec, claims)
+    comparisons = compare_with_claims(spec, closed_form_spectrum(K, ell, order))
     return CorrelationReport(
         order=order,
         energy_cut=K,
@@ -542,7 +536,7 @@ class HadamardSpectra:
             raise InvalidSpectrumError("module dimensions do not add up to N")
         entries = tuple(sorted(mults.items()))
         check = abs(sum(v * m for v, m in entries) - float(expected))
-        return Spectrum(entries, cluster_tolerance=0.0, trace_check=check)
+        return Spectrum(entries, trace_check=check)
 
 
 @dataclass(frozen=True)

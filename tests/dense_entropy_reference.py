@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from fermigraph.eig import DEFAULT_CLUSTER_TOL, Spectrum, cluster_spectrum, symmetric_eig
+from fermigraph.eig import DEFAULT_CLUSTER_TOL, Spectrum
 from fermigraph.entangle import entropy
 from fermigraph.qroot import QRootN
 from fermigraph.scheme import hadamard_pq_matrix
+from tests.dense_spectrum_reference import cluster_spectrum, symmetric_eig
 
 
 def dense_entropy(graph, K: int, ell: int,

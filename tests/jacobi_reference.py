@@ -1,7 +1,7 @@
 """Cyclic Jacobi eigensolver: an independent reference for the LAPACK path.
 
 Written from the textbook rotation scheme and sharing no code with
-``fermigraph.eig.symmetric_eig`` beyond its symmetry check, so agreement
+``dense_spectrum_reference.symmetric_eig`` beyond its symmetry check, so agreement
 between the two is evidence about both.  Meant for dim <= 64.
 """
 
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from fermigraph.eig import EigenSolveError, _check_symmetric
+from tests.dense_spectrum_reference import EigenSolveError, _check_symmetric
 
 
 def jacobi_eig(m: np.ndarray, sweeps: int = 100,

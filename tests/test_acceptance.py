@@ -18,9 +18,7 @@ from fermigraph import (ExactMatrix, HadamardSpectra, QRootN, binary_entropy,
                         closed_form_spectrum, compare_with_claims,
                         correlation_report, dual_correlation, entropy,
                         heun_operator, paley,
-                        projector_pair, spectrum_numeric, sylvester,
-                        terwilliger_basis)
-from fermigraph.eig import symmetric_eig
+                        projector_pair, sylvester, terwilliger_basis)
 from fermigraph.entangle import ENTROPY_CONSTANT
 from fermigraph.exactmat import commutator
 from fermigraph.qroot import sqrt_of
@@ -29,6 +27,7 @@ from fermigraph.terwilliger import (cubic_relation_residual,
                                     triple_vanishing_check,
                                     verify_dual_products)
 from tests.conftest import hadamard_context, hypercube_context, paley_context
+from tests.dense_spectrum_reference import spectrum_numeric, symmetric_eig
 
 
 def _announce(criterion: str, ok: bool, detail: str = "") -> None:

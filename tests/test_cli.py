@@ -2,13 +2,15 @@ import json
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from fermigraph import cli
+from fermigraph import cli, correlation_report
 from fermigraph.cli import (EXACT_MAX_VERTICES, CliInputError, _load_matrix,
                             build_parser, main)
 from fermigraph.hadamard import (SYLVESTER_MAX_EXPONENT, HadamardMatrix,
                                  sylvester, verify)
+from tests.conftest import hadamard_context
 
 
 def run(args, capsys):
@@ -22,7 +24,7 @@ def test_gen_sylvester(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["order"] == 4
-    h = HadamardMatrix(order=4, entries=__import__("numpy").array(data["rows"]))
+    h = HadamardMatrix(order=4, entries=np.array(data["rows"]))
     assert verify(h)[0]
 
 
@@ -82,8 +84,10 @@ def test_verify_report_bytes(source, order, capsys):
     assert out == VERIFY_REPORT.format(n=order, n_1=order - 1, half=order // 2)
 
 
-# full `heun` and `spectrum` reports, keyed by their argv, recorded before
-# the exact kernel moved to int64 storage
+# full `heun` and `spectrum` reports, keyed by their argv; the `heun` ones
+# were recorded before the exact kernel moved to int64 storage, the
+# `spectrum` ones when its spectra moved to the Terwilliger modules
+# (checked against 50-digit eigenvalues in test_modules.py)
 REPORTS = json.loads((Path(__file__).parent / "cli_reports.json").read_text())
 
 
@@ -150,6 +154,46 @@ def test_spectrum_formats(capsys):
     assert code == 0
     assert "trace (exact): 121/16" in out
     assert "MISMATCH" in out  # published simple-eigenvalue claims disagree
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_spectrum_of_a_projector_is_exact_zeros_and_ones(k, capsys):
+    # with every shell kept, Pi(K, 4) = pi2(K): a projector, whose module
+    # spectrum is exact 0s and 1s with no rounding left in the entropy
+    code, out, err = run(["spectrum", "--n", "8", "--k", str(k), "--ell", "4",
+                          "--format", "csv"], capsys)
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    filled = [9, 23, 31][k - 1]
+    assert lines == ["value,mult", f"0,{32 - filled}", f"1,{filled}",
+                     f"# trace_exact={filled}/1", "# entropy=0"]
+
+
+def test_spectrum_from_matrix_file_matches_sylvester_order(capsys, tmp_path):
+    path = tmp_path / "h8.json"
+    assert main(["gen", "--n", "8", "--out", str(path)]) == 0
+    code, from_file, _ = run(["spectrum", "--in", str(path), "--k", "2",
+                              "--ell", "2"], capsys)
+    assert code == 0
+    code, from_order, _ = run(["spectrum", "--n", "8", "--k", "2", "--ell", "2"],
+                              capsys)
+    assert code == 0 and from_file == from_order
+
+
+def test_spectrum_runs_no_dense_eigensolver(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense eigensolver called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    code, out, err = run(["spectrum", "--n", "8", "--k", "2", "--ell", "2"],
+                         capsys)
+    assert code == 0 and err == ""
+    assert json.loads(out)["trace_exact"] == "529/32"
+    _, tables, basis = hadamard_context(4)
+    for K in range(5):
+        for ell in range(5):
+            assert correlation_report(tables, basis, K, ell).spectrum.total() == 16
 
 
 def test_spectrum_determinism(tmp_path):
@@ -245,15 +289,11 @@ def test_spectrum_from_paley_order(capsys):
     assert mults == [1, 1, 46]
 
 
-@pytest.mark.parametrize("tol", ["inf", "-inf", "nan"])
-def test_spectrum_refuses_non_finite_cluster_tolerance(tol, capsys):
-    # inf would merge all 32 eigenvalues into one; nan would switch off
-    # clustering and the trace check
-    code, out, err = run(["spectrum", "--n", "8", "--k", "2", "--ell", "2",
-                          "--format", "csv", f"--tol={tol}"], capsys)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:") and "finite" in err
+def test_spectrum_has_no_tol_option():
+    # spectrum multiplicities are module counts, with no cluster tolerance
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--n", "8", "--k", "2", "--ell", "2", "--tol", "1e-8"])
+    assert exc.value.code == 2
 
 
 def test_spectrum_requires_order(capsys):

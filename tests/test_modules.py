@@ -6,7 +6,10 @@
 - against the dense float reference of a built graph
   (``tests/dense_entropy_reference.py``);
 - the module data against an exact module basis of a built graph;
-- the entropies against a 50-digit mpmath evaluation of the module blocks.
+- the entropies against a 50-digit mpmath evaluation of the module blocks,
+  and the eigenvalues against a 50-digit mpmath solve of the exact
+  supported block of Pi(K, ell) of a built graph, which shares no code with
+  the module path.
 """
 
 import dataclasses
@@ -20,14 +23,16 @@ import sympy as sp
 from sympy.polys.matrices import DomainMatrix
 
 from fermigraph import (HadamardSpectra, build_hadamard_graph, entropy, paley,
-                        sylvester)
+                        projector_pair, sylvester)
 from fermigraph.eig import InvalidSpectrumError
 from fermigraph.entangle import _interior_roots
 from fermigraph.qroot import QRootN
 from fermigraph.scheme import (SchemeError, _tridiagonal_module,
                                hadamard_intersection_array, hadamard_modules,
                                hadamard_pq_matrix)
+from tests.conftest import hadamard_context, paley_context
 from tests.dense_entropy_reference import dense_entropy
+from tests.dense_spectrum_reference import spectrum_numeric
 
 # (family, size) -> order n: the module data depends on n alone
 ORDERS = [pytest.param("sylvester", n, n, id=f"sylvester-{n}")
@@ -238,6 +243,48 @@ def test_module_entropy_matches_50_digit_reference(n):
         ref = _reference_entropy(n, K, ell)
         s = entropy(spectra.spectrum(K, ell))
         assert abs(s - float(ref)) <= 1e-14 * float(ref), (K, ell, s, ref)
+
+
+def _exact_block_eigenvalues(pair, vertex_count: int) -> list[mpmath.mpf]:
+    """All N eigenvalues of Pi = pi1 pi2 pi1 at 50 digits: those of its
+    supported principal block of pi2, from the exact entries, and a zero for
+    every vertex outside the support."""
+    idx = np.flatnonzero(pair.support)
+    m = pair.pi2
+    with mpmath.workdps(50):
+        root = mpmath.sqrt(m.radicand)
+        block = mpmath.matrix(len(idx), len(idx))
+        for a, i in enumerate(idx):
+            for b, j in enumerate(idx):
+                entry = mpmath.mpf(int(m.ra[i, j]))
+                if m.rb is not None:
+                    entry += int(m.rb[i, j]) * root
+                block[a, b] = entry / int(m.den)
+        values = mpmath.eigsy(block, eigvals_only=True)
+        return sorted([mpmath.mpf(0)] * (vertex_count - len(idx))
+                      + [values[k] for k in range(len(idx))])
+
+
+@pytest.mark.parametrize("context, size", [
+    (hadamard_context, 2), (hadamard_context, 4), (hadamard_context, 8),
+    (paley_context, 7)], ids=["sylvester-2", "sylvester-4", "sylvester-8",
+                              "paley-7"])
+def test_module_spectra_match_50_digit_exact_block(context, size):
+    """For all 25 cutoffs, the module eigenvalues lie within 1e-14 of the
+    50-digit eigenvalues of the exact matrix, and no farther than those of
+    the dense float reference."""
+    graph, tables, basis = context(size)
+    spectra = HadamardSpectra(graph.order)
+    for K, ell in ALL_PAIRS:
+        pair = projector_pair(tables, basis, K, ell)
+        ref = _exact_block_eigenvalues(pair, tables.vertex_count)
+        module = sorted(spectra.spectrum(K, ell).flatten())
+        dense = sorted(spectrum_numeric(
+            pair.pi2.masked_support(pair.support)).flatten())
+        err_module = max(float(abs(v - r)) for v, r in zip(module, ref))
+        err_dense = max(float(abs(v - r)) for v, r in zip(dense, ref))
+        assert err_module <= 1e-14, (K, ell, err_module)
+        assert err_module <= err_dense, (K, ell, err_module, err_dense)
 
 
 def test_module_data_is_checked_exactly(monkeypatch):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fermigraph import (ExactMatrix, QRootN, chopped_correlation,
-                        spectrum_numeric, terwilliger_basis)
+                        terwilliger_basis)
 from fermigraph.qroot import sqrt_of
 from fermigraph.scheme import SchemeError
 from fermigraph.terwilliger import (block_tridiagonal_decompose,
@@ -14,6 +14,7 @@ from fermigraph.terwilliger import (block_tridiagonal_decompose,
                                     triple_vanishing_check,
                                     verify_dual_products)
 from tests.conftest import hadamard_context, hypercube_context, paley_context
+from tests.dense_spectrum_reference import spectrum_numeric
 from tests.triple_reference import dense_triple_violations
 
 _CONTEXTS = {"sylvester": hadamard_context, "paley": paley_context,
