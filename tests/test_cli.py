@@ -289,11 +289,17 @@ def test_spectrum_from_paley_order(capsys):
     assert mults == [1, 1, 46]
 
 
-def test_spectrum_has_no_tol_option():
-    # spectrum multiplicities are module counts, with no cluster tolerance
+@pytest.mark.parametrize("tol", ["inf", "-inf", "nan"])
+def test_spectrum_refuses_non_finite_cluster_tolerance(tol, capsys):
+    # spectrum multiplicities are module counts, with no cluster tolerance:
+    # --tol is not an option of spectrum, so any value of it is refused
     with pytest.raises(SystemExit) as exc:
-        main(["spectrum", "--n", "8", "--k", "2", "--ell", "2", "--tol", "1e-8"])
+        main(["spectrum", "--n", "8", "--k", "2", "--ell", "2",
+              "--format", "csv", f"--tol={tol}"])
     assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and f"--tol={tol}" in captured.err
 
 
 def test_spectrum_requires_order(capsys):
