@@ -33,6 +33,7 @@ same = all(tables.krein[i][j][k] == tables.p_numbers[i][j][k]
            for i in range(5) for j in range(5) for k in range(5))
 print("Krein parameters equal intersection numbers:", same)
 
-# Every structure constant was verified by full reconstruction, e.g.
-# A_1 A_2 = sum_k p_{12}^k A_k holds entrywise in exact arithmetic.
+# The graph was checked against the three-term recurrence
+# A A_i = b_{i-1} A_{i-1} + a_i A_i + c_{i+1} A_{i+1} entrywise in exact
+# arithmetic; every p_ij^k follows from it, e.g. A_1 A_2 = sum_k p_{12}^k A_k.
 print("p[1][2][.] =", [tables.p_numbers[1][2][k] for k in range(5)])

@@ -24,10 +24,8 @@ from .hadamard import (CoreBlocks, HadamardMatrix, NotHadamardError,
                        core_blocks, normalize, paley, sylvester, verify)
 from .qroot import QRootN, RadicandMismatchError, sqrt_of
 from .scheme import (ModuleClass, SchemeError, SchemeTables, build_scheme,
-                     eigenmatrices, hadamard_intersection_array,
-                     hadamard_modules, hadamard_pq_matrix, intersection_array,
-                     intersection_numbers, krein_parameters,
-                     lagrange_idempotents, polynomial_checks)
+                     hadamard_intersection_array, hadamard_modules,
+                     hadamard_pq_matrix, intersection_array, polynomial_checks)
 from .terwilliger import (TerwilligerBasis, TripleVanishingReport,
                           block_tridiagonal_decompose, cubic_relation_residual,
                           dual_distance, dual_idempotents, terwilliger_basis,

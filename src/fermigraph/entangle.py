@@ -32,6 +32,7 @@ disagreements instead of silently correcting either side.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -363,7 +364,7 @@ def correlation_report(tables: SchemeTables, basis: TerwilligerBasis,
     if tr != expected:
         raise InvalidSpectrumError(
             f"trace {tr} differs from N_ell F_K / N = {expected}")
-    spec = HadamardSpectra(order).spectrum(K, ell)
+    spec = _spectra_of_order(order).spectrum(K, ell)
     if spec.values and (spec.values[0] < -_CONTAINMENT_TOL
                         or spec.values[-1] > 1 + _CONTAINMENT_TOL):
         raise InvalidSpectrumError(f"spectrum escapes [0, 1]: {spec}")
@@ -537,6 +538,12 @@ class HadamardSpectra:
         entries = tuple(sorted(mults.items()))
         check = abs(sum(v * m for v, m in entries) - float(expected))
         return Spectrum(entries, trace_check=check)
+
+
+@functools.lru_cache(maxsize=8)
+def _spectra_of_order(n: int) -> HadamardSpectra:
+    """``HadamardSpectra(n)``, built once per order for ``correlation_report``."""
+    return HadamardSpectra(n)
 
 
 @dataclass(frozen=True)

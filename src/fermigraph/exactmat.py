@@ -34,8 +34,8 @@ proven in:
   any term is added, so an int64 accumulator never meets an object term;
 - the perfect-square fold ``ra + rb * s`` and the division by the gcd in
   ``_normalize`` (that gcd exceeds 2^62 only when every entry is zero);
-- scalings and entry sums read off the arrays by other modules, by
-  ``trace`` and by ``_schur_sum``: ``_scaled_sum`` bounds
+- scalings and entry sums read off the arrays by other modules and by
+  ``trace``: ``_scaled_sum`` bounds
   ``|factor| * max|entry| * terms``.
 
 Each matrix keeps its parts' max |entry| (``_mag``), so bounding a product
@@ -468,18 +468,6 @@ class ExactMatrix:
     def __repr__(self) -> str:
         kind = "rational" if self.rb is None else f"sqrt({self.radicand})"
         return f"ExactMatrix(dim={self.dim}, radicand={self.radicand}, {kind}, den={self.den})"
-
-
-def _schur_sum(x: ExactMatrix, y: ExactMatrix) -> QRootN:
-    """The entry sum of x o y, read off the product of the parts before any
-    normalization."""
-    _check_conforming(x.dim, x.radicand, y)
-    sa, sb = _bounded_qprod((x.ra, x.rb), (y.ra, y.rb), x.radicand,
-                            mags=(x._mag, y._mag))
-    den = x.den * y.den
-    tb = 0 if sb is None else int(_scaled_sum(sb, axis=None))
-    return QRootN(Fraction(int(_scaled_sum(sa, axis=None)), den),
-                  Fraction(tb, den), x.radicand)
 
 
 def commutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:

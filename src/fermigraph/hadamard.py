@@ -42,7 +42,13 @@ class HadamardMatrix:
 
     @classmethod
     def from_json(cls, text: str) -> "HadamardMatrix":
+        """Parse ``{"order": n, "rows": [[...], ...]}``; an entry other than
+        the JSON integers 1 and -1 raises ValueError instead of being cast."""
         data = json.loads(text)
+        # type() rather than isinstance(): bool is a subclass of int
+        if any(type(v) is not int or v not in (1, -1)
+               for row in data["rows"] for v in row):
+            raise ValueError("matrix entries must be the JSON integers 1 and -1")
         rows = np.array(data["rows"], dtype=int)
         if rows.shape != (data["order"], data["order"]):
             raise ValueError("rows do not match the declared order")

@@ -2,22 +2,28 @@
 
 Given the distance matrices A_0..A_d and the distinct adjacency eigenvalues,
 this module produces the full Bose-Mesner toolkit: intersection numbers,
-primitive idempotents (Lagrange projectors in Q(sqrt(n))), eigenmatrices P and
-Q, Krein parameters, valencies and multiplicities.  Every structure constant
-is extracted from a representative entry and then re-verified by exact
-reconstruction; nothing is trusted from a partial check.
+primitive idempotents, eigenmatrices P and Q, Krein parameters, valencies
+and multiplicities (Brouwer, Cohen and Neumaier, *Distance-Regular Graphs*,
+1989, sections 2.1, 2.2 and 4.1).
 
-The (d+1)-sized tables are computed and checked as small exact matrices
-(integer arrays over one denominator), one product rule per table rather
-than one Q(sqrt(n)) scalar operation per entry: the Lagrange coefficients
-of the idempotents, the representative entries U of the idempotents
-(Q = N U), P Q = N I as the product P U = I, and the whole Krein table as
-the product of P with the A-basis coefficients U[m][i] U[m][j] of every
-E_i o E_j.  The N x N reconstructions (A_j from
-P, E_j from Q, each E_i o E_j from the Krein table) stay dense and exact,
-and so does the entry sum of A_j o E_i that gives P, read off the product
-of the integer parts.  ``terwilliger.triple_vanishing_check`` compares its
-norms with the Krein table on integer arrays too.
+Only the graph is read on N x N matrices: A_0 = I, symmetry, sum_i A_i = J,
+disjoint classes, and A A_i = b_(i-1) A_(i-1) + a_i A_i + c_(i+1) A_(i+1)
+for i = 0..d, checked exactly with d+1 products.  With every c_i > 0 this
+recurrence makes A_i a polynomial of degree i in A, so the graph is
+distance-regular with these classes, and every table follows from its
+tridiagonal matrix L_1 and the eigenvalue list, as small exact arrays of
+Python ints over one denominator: the intersection matrices L_i; W, with
+A^m = sum_i W[m][i] A_i; U, the Lagrange coefficients of the idempotents
+times W, so E_k = sum_i U[i][k] A_i and Q = N U; P, from P_ji m_j = k_i Q_ij;
+and the Krein table from P and U.
+
+prod_j (L_1 - theta_j I) e_0 = 0 is checked, so prod_j (A - theta_j I) = 0;
+as I, A, .., A^d are independent, the d+1 distinct values listed are the
+spectrum of A.  A is symmetric, so by the spectral theorem its Lagrange
+idempotents are symmetric, idempotent, pairwise orthogonal, sum to I and
+give A = sum_k theta_k E_k: no N x N check of these is needed.  E_0 = J/N
+(the valency listed first) is checked as U[.][0] = 1/N.  The dense checks
+of every identity are kept in ``tests/dense_scheme_reference.py``.
 
 Conventions: idempotents are ordered by the supplied eigenvalue list (for the
 graphs built here that is the self-dual ordering with the valency first), and
@@ -27,14 +33,16 @@ normalization that makes p = q for self-dual schemes.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .exactmat import ExactMatrix, _bounded_qprod, _over_common_den, _schur_sum
+from .exactmat import ExactMatrix, _bounded_qprod, _over_common_den, _qprod
 from .graphs import SchemeGraph
 from .qroot import QRootN
 
@@ -43,31 +51,11 @@ class SchemeError(ValueError):
     """An association-scheme axiom failed exactly."""
 
 
-def _representative_pairs(distance: list[ExactMatrix]) -> list[tuple[int, int]]:
-    """One (x, y) with d(x, y) = k for each k; used for entry extraction."""
-    reps = []
-    for k, a in enumerate(distance):
-        idx = np.argwhere(a.ra != 0)
-        if idx.size == 0:
-            raise SchemeError(f"distance class {k} is empty")
-        reps.append((int(idx[0][0]), int(idx[0][1])))
-    return reps
+def _lagrange_coefficients(thetas: list[QRootN], n: int):
+    """The primitive idempotents E_k = prod_{j != k} (A - theta_j I)/(theta_k - theta_j)
+    in coefficient form, E_k = sum_m (ea[k][m] + eb[k][m] sqrt(n)) / den A^m.
 
-
-def adjacency_powers(a: ExactMatrix, top: int) -> list[ExactMatrix]:
-    """[I, A, A^2, .., A^top] with the products done once and reused."""
-    powers = [ExactMatrix.identity(a.dim, a.radicand), a]
-    for _ in range(top - 1):
-        powers.append(powers[-1] @ a)
-    return powers
-
-
-def lagrange_idempotents(a: ExactMatrix,
-                         thetas: list[QRootN]) -> list[ExactMatrix]:
-    """Primitive idempotents E_k = prod_{j != k} (A - theta_j I)/(theta_k - theta_j).
-
-    Expands each Lagrange polynomial in coefficient form so the matrix powers
-    are shared across all k.  With the eigenvalues over one denominator t,
+    With the eigenvalues over one denominator t,
     theta_j = (u_j + v_j sqrt(n)) / t, the coefficients and denominators of
     all d+1 polynomials are small tables of Python ints (object arrays, so
     nothing can overflow), built one factor at a time for every k that takes
@@ -76,11 +64,9 @@ def lagrange_idempotents(a: ExactMatrix,
         c[k] = prod_{j != k} (t x - t theta_j), low degree first,
         q[k] = prod_{j != k} (t theta_k - t theta_j),
 
-    and E_k = sum_m (c[k][m] / q[k]) A^m with 1/q = conj(q) / (q conj(q)).
+    and 1/q = conj(q) / (q conj(q)).
     """
     d = len(thetas) - 1
-    n = a.radicand
-    powers = adjacency_powers(a, d)
     u, v, t = _over_common_den(thetas, n)
     u = u.astype(object)
     v = np.zeros_like(u) if v is None else v.astype(object)
@@ -99,10 +85,8 @@ def lagrange_idempotents(a: ExactMatrix,
     if not norm.all():
         raise SchemeError("repeated eigenvalue in the spectrum list")
     ea, eb = _bounded_qprod((ca, cb), (qa[:, None], -qb[:, None]), n)
-    return [ExactMatrix.combination(
-        [(QRootN(Fraction(x, norm[k]), Fraction(y, norm[k]), n), m)
-         for x, y, m in zip(ea[k], eb[k], powers)], a.dim, n)
-        for k in range(d + 1)]
+    den = math.lcm(*norm)
+    return ea * (den // norm)[:, None], eb * (den // norm)[:, None], den
 
 
 @dataclass(frozen=True)
@@ -129,18 +113,10 @@ class SchemeTables:
         return self.eigenmatrix_p[k][1]
 
     def cumulative_shell_sizes(self) -> list[int]:
-        out, acc = [], 0
-        for v in self.valencies:
-            acc += v
-            out.append(acc)
-        return out
+        return list(itertools.accumulate(self.valencies))
 
     def cumulative_multiplicities(self) -> list[int]:
-        out, acc = [], 0
-        for f in self.multiplicities:
-            acc += f
-            out.append(acc)
-        return out
+        return list(itertools.accumulate(self.multiplicities))
 
     def to_json(self) -> str:
         def scalar(v: QRootN) -> list[int]:
@@ -165,30 +141,6 @@ class SchemeTables:
         return json.dumps(payload, separators=(",", ":"))
 
 
-def intersection_numbers(distance: list[ExactMatrix]) -> list:
-    """p_ij^k read off one representative entry of A_i A_j per class, then
-    verified globally by exact reconstruction A_i A_j = sum_k p_ij^k A_k."""
-    d = len(distance) - 1
-    reps = _representative_pairs(distance)
-    n = distance[0].radicand
-    table = [[[0] * (d + 1) for _ in range(d + 1)] for _ in range(d + 1)]
-    for i in range(d + 1):
-        for j in range(i, d + 1):
-            prod = distance[i] @ distance[j]
-            for k, (x, y) in enumerate(reps):
-                v = prod.entry(x, y)
-                if not v.is_rational() or v.a.denominator != 1 or v.a < 0:
-                    raise SchemeError(f"p[{i}][{j}][{k}] is not a nonnegative integer")
-                table[i][j][k] = table[j][i][k] = int(v.a)
-            recon = ExactMatrix.combination(zip(table[i][j], distance),
-                                            prod.dim, n)
-            if recon != prod:
-                raise SchemeError(
-                    f"A_{i} A_{j} is not constant on distance classes; "
-                    "not an association scheme")
-    return table
-
-
 def intersection_array(p_numbers) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """{b_0..b_(d-1); c_1..c_d} with b_i = p_{1,i+1}^i and c_i = p_{1,i-1}^i."""
     d = len(p_numbers) - 1
@@ -199,94 +151,55 @@ def intersection_array(p_numbers) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return b, c
 
 
-def _representative_table(distance: list[ExactMatrix],
-                          idempotents: list[ExactMatrix]) -> ExactMatrix:
-    """U[m][j] = (E_j)_xy at the representative pair (x, y) of distance m,
-    read off the idempotents' integer entries into one small exact matrix."""
-    reps = _representative_pairs(distance)
-    return ExactMatrix.from_scalars(
-        [[e.entry(x, y) for e in idempotents] for x, y in reps],
-        distance[0].radicand)
-
-
-def _reshaped(m: ExactMatrix, *shape: int) -> tuple:
-    """``m``'s integer parts (ra, rb) reshaped to ``shape``."""
-    return tuple(None if p is None else p.reshape(shape) for p in (m.ra, m.rb))
-
-
-def eigenmatrices(distance: list[ExactMatrix], idempotents: list[ExactMatrix],
-                  multiplicities: list[int]) -> tuple[list, list]:
-    """Change-of-basis matrices: A_j = sum_i P_ij E_i, E_j = (1/N) sum_i Q_ij A_i.
-
-    P_ij f_i = trace(A_j E_i) is the entry sum of A_j o E_i, since E_i is
-    symmetric.  Q = N U, with U the table of representative entries of the
-    idempotents (``_representative_table``), so P Q = N I is the one small
-    product P U = I; it is checked before the two N x N reconstructions.
-    """
+def _recurrence_matrix(distance: list[ExactMatrix]) -> np.ndarray:
+    """L_1, (L_1)_kj = p_1j^k: b_(i-1), a_i and c_(i+1) read off row 0 of
+    A A_i at one vertex of each class, then A A_i compared exactly with its
+    three-term expansion.  The classes are 0/1 matrices, so A A_i has
+    denominator 1 and no sqrt(n) part."""
     d = len(distance) - 1
-    n = distance[0].radicand
-    bign = distance[0].dim
-    pmat = [[None] * (d + 1) for _ in range(d + 1)]
+    bign, n = distance[0].dim, distance[0].radicand
+    reps = [np.flatnonzero(a.ra[0]) for a in distance]
+    for k, row in enumerate(reps):
+        if row.size == 0:
+            raise SchemeError(f"distance class {k} is empty")
+    l1 = np.zeros((d + 1, d + 1), dtype=object)
     for i in range(d + 1):
-        for j in range(d + 1):
-            s = _schur_sum(distance[j], idempotents[i])
-            pmat[i][j] = QRootN(s.a / multiplicities[i],
-                                s.b / multiplicities[i], n)
-    u = _representative_table(distance, idempotents)
-    # the small products run the product rule on the integer parts; ``@`` is
-    # left to the N x N products
-    p = ExactMatrix.from_scalars(pmat, n)
-    pu = _bounded_qprod((p.ra, p.rb), (u.ra, u.rb), n, d + 1)
-    if ExactMatrix(d + 1, n, *pu, p.den * u.den) != ExactMatrix.identity(d + 1, n):
-        raise SchemeError("P Q != N I")
-    umat = [[u.entry(i, j) for j in range(d + 1)] for i in range(d + 1)]
-    for j in range(d + 1):
-        recon_a = ExactMatrix.combination(
-            [(pmat[i][j], idempotents[i]) for i in range(d + 1)], bign, n)
-        if recon_a != distance[j]:
-            raise SchemeError(f"A_{j} != sum_i P_ij E_i")
-        recon_e = ExactMatrix.combination(
-            [(umat[i][j], distance[i]) for i in range(d + 1)], bign, n)
-        if recon_e != idempotents[j]:
-            raise SchemeError(f"E_{j} != (1/N) sum_i Q_ij A_i")
-    return pmat, [[QRootN(v.a * bign, v.b * bign, n) for v in row] for row in umat]
+        near = range(max(i - 1, 0), min(i + 1, d) + 1)
+        prod = distance[1] @ distance[i]
+        for k in near:
+            l1[k, i] = int(prod.ra[0, reps[k][0]])
+        if ExactMatrix.combination([(l1[k, i], distance[k]) for k in near],
+                                   bign, n) != prod:
+            raise SchemeError(f"A A_{i} != its three-term expansion; not "
+                              "distance-regular")
+    if any(l1[i, i - 1] <= 0 for i in range(1, d + 1)):
+        raise SchemeError("a c_i vanishes; not distance-regular")
+    return l1
 
 
-def krein_parameters(distance: list[ExactMatrix], idempotents: list[ExactMatrix],
-                     pmat) -> list:
-    """q_ij^k from Schur products, convention E_i o E_j = (1/N) sum_k q_ij^k E_k.
+def _intersection_matrices(l1: np.ndarray) -> list[np.ndarray]:
+    """L_0..L_d from L_1.  A_i -> L_i is the regular representation of the
+    Bose-Mesner algebra, so the recurrence carries over:
+    c_(i+1) L_(i+1) = L_1 L_i - b_(i-1) L_(i-1) - a_i L_i."""
+    d = len(l1) - 1
+    layers = [np.eye(d + 1, dtype=object), l1]
+    for i in range(1, d):
+        num = l1.dot(layers[i]) - l1[i - 1, i] * layers[i - 1] - l1[i, i] * layers[i]
+        nxt, rem = num // l1[i + 1, i], num % l1[i + 1, i]
+        if rem.any() or (nxt < 0).any():
+            raise SchemeError(f"p[{i + 1}] is not a table of nonnegative integers")
+        layers.append(nxt)
+    return layers
 
-    At the representative pair of distance m, (E_i o E_j)_xy = U[m][i] U[m][j]
-    (U as in ``eigenmatrices``), so E_i o E_j = sum_m U[m][i] U[m][j] A_m and,
-    with A_m = sum_k P_km E_k, q_ij^k / N = sum_m P_km U[m][i] U[m][j].  The
-    whole table is that one small product; then each E_i o E_j is formed, one
-    at a time, and checked against its expansion exactly.
-    """
-    d = len(distance) - 1
-    n = distance[0].radicand
-    bign = distance[0].dim
-    u = _representative_table(distance, idempotents)
-    # c[m, i, j] = U[m][i] U[m][j], flattened over (i, j)
-    ca, cb = _bounded_qprod(_reshaped(u, d + 1, d + 1, 1),
-                            _reshaped(u, d + 1, 1, d + 1), n)
-    ca, cb = (None if c is None else c.reshape(d + 1, -1) for c in (ca, cb))
-    p = ExactMatrix.from_scalars(pmat, n)
-    qa, qb = _bounded_qprod((p.ra, p.rb), (ca, cb), n, d + 1)
-    qa, qb = (None if q is None else q.reshape(d + 1, d + 1, d + 1)
-              for q in (qa, qb))
-    table = [[None] * (d + 1) for _ in range(d + 1)]
-    for i in range(d + 1):
-        # q_ij^k / N at [k][j]
-        plane = ExactMatrix(d + 1, n, qa[:, i], None if qb is None else qb[:, i],
-                            p.den * u.den * u.den)
-        for j in range(i, d + 1):
-            coeffs = [plane.entry(k, j) for k in range(d + 1)]
-            table[i][j] = table[j][i] = [QRootN(c.a * bign, c.b * bign, n)
-                                         for c in coeffs]
-            recon = ExactMatrix.combination(zip(coeffs, idempotents), bign, n)
-            if recon != idempotents[i].schur(idempotents[j]):
-                raise SchemeError(f"E_{i} o E_{j} reconstruction failed")
-    return table
+
+def _scalars(a, b, den: int, n: int):
+    """(a + b sqrt(n)) / den for integer arrays ``a``, ``b`` of any shape,
+    as nested tuples of QRootN."""
+    def build(x, y):
+        if isinstance(x, list):
+            return tuple(map(build, x, y))
+        return QRootN(Fraction(int(x), den), Fraction(int(y), den), n)
+    return build(a.tolist(), b.tolist())
 
 
 def polynomial_checks(p_numbers, krein, pmat, qmat) -> dict[str, bool]:
@@ -310,7 +223,8 @@ def polynomial_checks(p_numbers, krein, pmat, qmat) -> dict[str, bool]:
 
 
 def build_scheme(graph: SchemeGraph) -> SchemeTables:
-    """Assemble and exactly verify all scheme tables for a graph."""
+    """Assemble and exactly verify all scheme tables for a graph: the graph on
+    N x N matrices, every table on small exact arrays (see the module docstring)."""
     dist = list(graph.distance_matrices)
     d = len(dist) - 1
     n = graph.radicand
@@ -328,41 +242,63 @@ def build_scheme(graph: SchemeGraph) -> SchemeTables:
         for j in range(i + 1, d + 1):
             if not dist[i].schur(dist[j]).is_zero():
                 raise SchemeError("distance classes overlap")
+    l1 = _recurrence_matrix(dist)
 
-    p_numbers = intersection_numbers(dist)
+    # p[i][j][k] = (L_i)_kj
+    layers = np.array(_intersection_matrices(l1), dtype=object)
+    p_numbers = tuple(tuple(map(tuple, plane))
+                      for plane in layers.transpose(0, 2, 1).tolist())
+    valencies = [p_numbers[i][i][0] for i in range(d + 1)]
 
     thetas = list(graph.eigenvalues)
     if len(thetas) != d + 1:
         raise SchemeError("need exactly d+1 distinct eigenvalues")
-    idem = lagrange_idempotents(dist[1], thetas)
-    for k, e in enumerate(idem):
-        if not e.is_symmetric():
-            raise SchemeError(f"E_{k} is not symmetric")
-        if e @ e != e:
-            raise SchemeError(f"E_{k} is not idempotent (wrong eigenvalue list?)")
-    if ExactMatrix.combination([(1, e) for e in idem], bign, n) != ident:
-        raise SchemeError("sum_k E_k != I")
-    if ExactMatrix.combination(zip(thetas, idem), bign, n) != dist[1]:
-        raise SchemeError("A != sum_k theta_k E_k")
-    for i in range(d + 1):
-        for j in range(i + 1, d + 1):
-            if not (idem[i] @ idem[j]).is_zero():
-                raise SchemeError("idempotents are not orthogonal")
-    if idem[0] != allones.scale(Fraction(1, bign)):
+    la, lb, den = _lagrange_coefficients(thetas, n)
+    u, v, t = _over_common_den(thetas, n)
+    eye = np.eye(d + 1, dtype=object)
+    # prod_j (t L_1 - t theta_j) e_0, as integer parts
+    xa, xb = eye[0], np.zeros(d + 1, dtype=object)
+    for uj, vj in zip(u.tolist(), [0] * (d + 1) if v is None else v.tolist()):
+        xa, xb = (t * l1.dot(xa) - uj * xa - vj * n * xb,
+                  t * l1.dot(xb) - uj * xb - vj * xa)
+    if xa.any() or xb.any():
+        raise SchemeError("prod_j (A - theta_j I) != 0: the eigenvalue list "
+                          "is not the spectrum of A")
+
+    # the small tables run the product rule on object arrays of Python ints,
+    # so nothing can overflow; ``@`` is left to the N x N products
+    # W[m] = L_1^m e_0, so E_k = sum_m l[k][m] A^m = sum_i U[i][k] A_i with
+    # U = W^T l^T, over ``den``
+    w = [eye[0]]
+    for _ in range(d):
+        w.append(l1.dot(w[-1]))
+    ua, ub = _qprod(np.array(w).T, None, la.T, lb.T, n, np.dot)
+    if (ua[:, 0] * bign != den).any() or ub[:, 0].any():
         raise SchemeError("E_0 != J/N with the supplied ordering")
+    # m_j = trace(E_j) = N U[0][j]
+    mults, rem = (ua[0] * bign // den).tolist(), ua[0] * bign % den
+    if rem.any() or ub[0].any() or min(mults) <= 0 or sum(mults) != bign:
+        raise SchemeError("the ranks of the E_j are not positive integers summing to N")
 
-    mults = []
-    for k, e in enumerate(idem):
-        tr = e.trace()
-        if not tr.is_rational() or tr.a.denominator != 1 or tr.a <= 0:
-            raise SchemeError(f"rank of E_{k} is not a positive integer")
-        mults.append(int(tr.a))
-    valencies = [p_numbers[i][i][0] for i in range(d + 1)]
+    # P_ji = k_i Q_ij / m_j = k_i N U[i][j] / m_j, over pden
+    lm = math.lcm(*mults)
+    scale = np.array([[k * bign * (lm // m) for m in mults] for k in valencies],
+                     dtype=object)
+    pa, pb, pden = (ua * scale).T, (ub * scale).T, den * lm
+    ra, rb = _qprod(pa, pb, ua, ub, n, np.dot)
+    if rb.any() or (ra != pden * den * eye).any():
+        raise SchemeError("P Q != N I")
+    # (E_i o E_j) = sum_m U[m][i] U[m][j] A_m and A_m = sum_k P_km E_k, so
+    # q_ij^k / N = sum_m P_km U[m][i] U[m][j], at [k, i, j]
+    ca, cb = _qprod(ua[:, :, None], ub[:, :, None], ua[:, None, :],
+                    ub[:, None, :], n, operator.mul)
+    qa, qb = (bign * q.reshape((d + 1,) * 3).transpose(1, 2, 0) for q in _qprod(
+        pa, pb, ca.reshape(d + 1, -1), cb.reshape(d + 1, -1), n, np.dot))
 
-    pmat, qmat = eigenmatrices(dist, idem, mults)
-    krein = krein_parameters(dist, idem, pmat)
+    umat = _scalars(ua, ub, den, n)
+    idem = [ExactMatrix.combination([(umat[i][k], a) for i, a in enumerate(dist)],
+                                    bign, n) for k in range(d + 1)]
 
-    freeze3 = lambda t: tuple(tuple(tuple(row) for row in plane) for plane in t)
     return SchemeTables(
         graph=graph,
         diameter=d,
@@ -370,10 +306,10 @@ def build_scheme(graph: SchemeGraph) -> SchemeTables:
         radicand=n,
         distance=tuple(dist),
         idempotents=tuple(idem),
-        p_numbers=freeze3(p_numbers),
-        krein=freeze3(krein),
-        eigenmatrix_p=tuple(tuple(row) for row in pmat),
-        eigenmatrix_q=tuple(tuple(row) for row in qmat),
+        p_numbers=p_numbers,
+        krein=_scalars(qa, qb, pden * den * den, n),
+        eigenmatrix_p=_scalars(pa, pb, pden, n),
+        eigenmatrix_q=_scalars(ua * bign, ub * bign, den, n),
         valencies=tuple(valencies),
         multiplicities=tuple(mults),
     )

@@ -143,7 +143,9 @@ def triple_vanishing_check(basis: TerwilligerBasis) -> TripleVanishingReport:
 
     E_i A*_j E_k is checked through its squared Frobenius norm.  With
     a = diag(A*_j) and E_i, E_k symmetric idempotents (``build_scheme``
-    verifies both),
+    forms them as the Lagrange idempotents of the symmetric A, after
+    checking that the eigenvalue list annihilates A, so by the spectral
+    theorem they are both),
 
         ||E_i A*_j E_k||^2 = tr(E_k A*_j E_i E_i A*_j E_k)
                            = tr(A*_j E_i A*_j E_k)

@@ -108,6 +108,19 @@ def test_verify_corrupted_file_exits_three(capsys, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("entry", [1.9, -1.9, 1.0, True, "1", None, 10**30],
+                         ids=["float-1.9", "float--1.9", "float-1.0", "bool",
+                              "string", "null", "int-1e30"])
+def test_verify_file_with_bad_entry_exits_two(entry, capsys, tmp_path):
+    rows = sylvester(2).entries.tolist()
+    rows[2][1] = entry
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"order": 4, "rows": rows}))
+    code, out, err = run(["verify", "--in", str(bad)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_verify_malformed_file_exits_two(capsys, tmp_path):
     bad = tmp_path / "broken.json"
     bad.write_text("{not json")

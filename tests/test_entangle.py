@@ -7,8 +7,8 @@ import pytest
 from fermigraph import (ExactMatrix, QRootN, binary_entropy,
                         chopped_correlation, closed_form_spectrum,
                         compare_with_claims, correlation_report,
-                        dual_correlation, entanglement_hamiltonian, entropy,
-                        entropy_sweep, ground_state_correlation,
+                        dual_correlation, entangle, entanglement_hamiltonian,
+                        entropy, entropy_sweep, ground_state_correlation,
                         heun_expansion_energy,
                         heun_expansion_neighbourhood, heun_operator,
                         projector_pair)
@@ -318,6 +318,25 @@ def test_float_path_matches_exact_path(family, size):
                                rtol=0, atol=1e-12), (K, ell)
             assert math.isclose(report.entropy_value, entropy(dense),
                                 abs_tol=1e-9)
+
+
+def test_correlation_report_builds_module_spectra_once_per_order(monkeypatch,
+                                                                  had8):
+    _, tables, basis = had8
+    built = []
+
+    class Counted(entangle.HadamardSpectra):
+        def __init__(self, n):
+            built.append(n)
+            super().__init__(n)
+    monkeypatch.setattr(entangle, "HadamardSpectra", Counted)
+    entangle._spectra_of_order.cache_clear()
+    try:
+        for K, ell in ((1, 1), (2, 2), (3, 1)):
+            correlation_report(tables, basis, K, ell)
+    finally:
+        entangle._spectra_of_order.cache_clear()
+    assert built == [8]
 
 
 def test_correlation_report_needs_a_hadamard_graph():

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from fermigraph.exactmat import (_FLOAT64_EXACT_LIMIT, DimensionMismatchError,
                                  ExactMatrix, _bounded_qprod, _max_abs,
-                                 _scaled_sum, _schur_sum, anticommutator,
-                                 commutator)
+                                 _scaled_sum, anticommutator, commutator)
 from fermigraph.qroot import QRootN, RadicandMismatchError
 from fermigraph.terwilliger import _row_diagonal
+from tests.dense_scheme_reference import _schur_sum
 
 
 def random_exact(dim, radicand, rng, span=6, irrational=True):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -7,13 +8,16 @@ import pytest
 
 from fermigraph import (ExactMatrix, QRootN, build_hadamard_graph, paley,
                         scheme, terwilliger_basis)
+from fermigraph.graphs import distance_matrices_from_adjacency
 from fermigraph.qroot import sqrt_of
-from fermigraph.scheme import (SchemeError, _representative_pairs, eigenmatrices,
-                               hadamard_pq_matrix, intersection_array,
-                               krein_parameters, lagrange_idempotents,
-                               polynomial_checks)
+from fermigraph.scheme import (SchemeError, hadamard_pq_matrix,
+                               intersection_array, polynomial_checks)
 from fermigraph.terwilliger import triple_vanishing_check
+from tests import dense_scheme_reference as dense
 from tests.conftest import hadamard_context, hypercube_context, paley_context
+from tests.dense_scheme_reference import (_representative_pairs, eigenmatrices,
+                                          krein_parameters,
+                                          lagrange_idempotents)
 
 _CONTEXTS = {"sylvester": hadamard_context, "paley": paley_context,
              "hypercube": hypercube_context}
@@ -153,13 +157,13 @@ def _off_representatives(tables, k: int) -> tuple[int, int]:
                                           ("paley", 11)])
 def test_pq_check_rejects_perturbed_p_entry(monkeypatch, family, size):
     _, tables, _ = _CONTEXTS[family](size)
-    real = scheme._schur_sum
+    real = dense._schur_sum
 
     def off_by_one(a, e):
         s = real(a, e)
         return s + 1 if a is tables.distance[2] and e is tables.idempotents[1] else s
     # P_12 f_1 is the entry sum of A_2 o E_1
-    monkeypatch.setattr(scheme, "_schur_sum", off_by_one)
+    monkeypatch.setattr(dense, "_schur_sum", off_by_one)
     with pytest.raises(SchemeError, match="P Q != N I"):
         eigenmatrices(list(tables.distance), list(tables.idempotents),
                       list(tables.multiplicities))
@@ -180,7 +184,7 @@ def test_krein_reconstruction_rejects_perturbed_idempotent(family, size):
 
 def test_build_scheme_rejects_non_symmetric_idempotent(monkeypatch, had4):
     graph, _, _ = had4
-    real = scheme.lagrange_idempotents
+    real = dense.lagrange_idempotents
 
     def skewed(a, thetas):
         idem = real(a, thetas)
@@ -193,9 +197,9 @@ def test_build_scheme_rejects_non_symmetric_idempotent(monkeypatch, had4):
         idem[1] = e + e @ ExactMatrix(dim, n, m) @ (ExactMatrix.identity(dim, n) - e)
         assert idem[1] @ idem[1] == idem[1] and not idem[1].is_symmetric()
         return idem
-    monkeypatch.setattr(scheme, "lagrange_idempotents", skewed)
+    monkeypatch.setattr(dense, "lagrange_idempotents", skewed)
     with pytest.raises(SchemeError, match="E_1 is not symmetric"):
-        scheme.build_scheme(graph)
+        dense.build_scheme(graph)
 
 
 def test_pq_product_is_scaled_identity(had4):
@@ -273,17 +277,73 @@ def test_repeated_eigenvalue_rejected(family, size):
     thetas = list(graph.eigenvalues)
     thetas[3] = thetas[1]
     with pytest.raises(SchemeError, match="repeated eigenvalue"):
-        lagrange_idempotents(graph.adjacency, thetas)
+        scheme.build_scheme(dataclasses.replace(graph, eigenvalues=tuple(thetas)))
 
 
 def test_wrong_eigenvalue_list_rejected(had4):
     graph, _, _ = had4
-    bad = [QRootN(v, 0, 4) for v in (4, 3, 0, -2, -4)]
-    with pytest.raises(SchemeError):
-        idem = lagrange_idempotents(graph.adjacency, bad)
-        for e in idem:
-            if e @ e != e:
-                raise SchemeError("not idempotent")
+    bad = tuple(QRootN(v, 0, 4) for v in (4, 3, 0, -2, -4))
+    with pytest.raises(SchemeError, match="not the spectrum of A"):
+        scheme.build_scheme(dataclasses.replace(graph, eigenvalues=bad))
+
+
+@pytest.mark.parametrize("family, size", [("sylvester", 4), ("paley", 11)])
+def test_valency_not_listed_first_rejected(family, size):
+    graph, _, _ = _CONTEXTS[family](size)
+    thetas = list(graph.eigenvalues)
+    thetas[0], thetas[1] = thetas[1], thetas[0]
+    with pytest.raises(SchemeError, match="E_0 != J/N"):
+        scheme.build_scheme(dataclasses.replace(graph, eigenvalues=tuple(thetas)))
+
+
+def test_empty_distance_class_rejected(had4):
+    graph, _, _ = had4
+    dist = list(graph.distance_matrices)
+    dist.insert(3, ExactMatrix.zeros(graph.vertex_count, graph.radicand))
+    thetas = graph.eigenvalues + (QRootN(7, 0, graph.radicand),)
+    with pytest.raises(SchemeError, match="distance class 3 is empty"):
+        scheme.build_scheme(dataclasses.replace(
+            graph, distance_matrices=tuple(dist), eigenvalues=thetas))
+
+
+def test_swapped_edge_fails_the_recurrence(had4):
+    """Replacing edges 1-5 and 2-8 of the order-4 Hadamard graph by 1-8
+    and 2-5 keeps it 4-regular, connected and of diameter 4, but not
+    distance-regular."""
+    graph, _, _ = had4
+    adj = graph.adjacency.ra.copy()
+    assert adj[1, 5] and adj[2, 8] and not adj[1, 8] and not adj[2, 5]
+    for (x, y), edge in (((1, 5), 0), ((2, 8), 0), ((1, 8), 1), ((2, 5), 1)):
+        adj[x, y] = adj[y, x] = edge
+    dist = distance_matrices_from_adjacency(adj, graph.radicand)
+    assert len(dist) == 5
+    swapped = dataclasses.replace(graph, adjacency=ExactMatrix.from_int_array(
+        adj, graph.radicand), distance_matrices=tuple(dist))
+    with pytest.raises(SchemeError, match="not distance-regular"):
+        scheme.build_scheme(swapped)
+
+
+@pytest.mark.parametrize("family, size", [("sylvester", 8), ("paley", 11),
+                                          ("hypercube", 4)])
+def test_build_scheme_product_count(monkeypatch, family, size):
+    """The graph is read with at most d+1 products (the recurrence) and
+    d(d+1)/2 Schur products (disjoint classes); every table after that is
+    small."""
+    calls = {"__matmul__": 0, "schur": 0}
+
+    def counted(name):
+        real = getattr(ExactMatrix, name)
+
+        def op(self, other):
+            calls[name] += 1
+            return real(self, other)
+        return op
+    graph, _, _ = _CONTEXTS[family](size)
+    for name in calls:
+        monkeypatch.setattr(ExactMatrix, name, counted(name))
+    d = scheme.build_scheme(graph).diameter
+    assert calls["__matmul__"] <= d + 1
+    assert calls["schur"] == d * (d + 1) // 2
 
 
 def test_json_export(had4):
@@ -317,3 +377,14 @@ def test_scheme_tables_json_bytes(key):
     family, size = key.split()
     _, tables, _ = _CONTEXTS[family](int(size))
     assert tables.to_json() == TABLES_JSON[key]
+
+
+@pytest.mark.parametrize("key", sorted(TABLES_JSON))
+def test_scheme_tables_match_dense_reference(key):
+    """Every field, the idempotents included, equals the dense reference,
+    which reads each table off N x N matrices and reconstructs it."""
+    family, size = key.split()
+    graph, tables, _ = _CONTEXTS[family](int(size))
+    reference = dense.build_scheme(graph)
+    for field in dataclasses.fields(tables):
+        assert getattr(tables, field.name) == getattr(reference, field.name), field.name
